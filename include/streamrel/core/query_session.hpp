@@ -193,8 +193,9 @@ class QuerySession {
   // --- cache budget (daemon memory-cap rebalancing) ----------------
 
   /// Re-bounds the mask-table LRU, evicting (oldest first, counted as
-  /// kCacheEvictions) until the cache fits. The session registry calls
-  /// this when tenants join or leave the global memory cap.
+  /// kCacheEvictions) until the cache fits. The daemon's TenantSession
+  /// calls this to apply the share the registry publishes under the
+  /// global memory cap.
   void set_cache_budget(std::size_t max_mask_tables);
   std::size_t cache_budget() const { return cache_options_.max_mask_tables; }
   std::size_t cached_mask_tables() const { return lru_.size(); }

@@ -1,8 +1,8 @@
 #pragma once
 // TenantSession + SessionRegistry — the daemon's tenancy layer: one
 // QuerySession per registered (tenant, network_id) pair, hardened for
-// concurrent use, with per-session mask-table budgets rebalanced under
-// one global memory cap.
+// concurrent use, with per-session mask-table budgets shared under one
+// global memory cap.
 //
 // QuerySession itself is single-threaded by design (the caches are
 // mutable on the read path). TenantSession wraps one behind a
@@ -16,6 +16,19 @@
 // a plain QuerySession: the orchestration is the same code path in the
 // same order, only the locking is new.
 //
+// Bookkeeping never takes another session's lock. The registry keeps
+// the current implicit share and, only when a registration or restore
+// changes it, publishes the new share to every implicit session as an
+// atomic budget target. Each session enforces its target (oldest-first
+// LRU eviction, QuerySession::set_cache_budget) at its own writer-section
+// boundaries; an idle session is shrunk at once through try_lock, and a
+// holder that made that try_lock fail settles the target when it lets
+// go. So once the ops already running on a session finish, its cached
+// tables are within its published budget. Likewise stats() reads a
+// snapshot the session publishes at the end of every writer section, so
+// the stats verb, metrics scrapes and the registration reply never
+// queue behind a running solve or batch.
+//
 // Durability (optional, RegistryPersistOptions::state_dir): each session
 // owns a persist::SessionStore. The store is only ever touched under the
 // session's WRITER lock, which pins the critical ordering property for
@@ -28,6 +41,7 @@
 // apply already succeeded, so the request is answered and the failure is
 // counted (journal_errors).
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,7 +99,15 @@ class TenantSession {
   FlowNetwork network_copy() const;
   FlowDemand default_demand() const;
 
-  void set_cache_budget(std::size_t max_mask_tables);
+  /// Publishes a new mask-table budget target without taking the
+  /// session lock: one atomic store. The session applies it at its next
+  /// writer-section boundary, or settle_budget() applies it now if the
+  /// session is idle.
+  void publish_budget(std::size_t max_mask_tables) noexcept;
+  /// Applies a published budget target if the session lock is free;
+  /// otherwise leaves it to the current holder, which settles it on
+  /// release. Never blocks.
+  void settle_budget();
   /// True when registration named an explicit max_mask_tables (the
   /// registry only rebalances implicit budgets).
   bool explicit_budget() const noexcept { return explicit_budget_; }
@@ -112,11 +134,22 @@ class TenantSession {
     std::uint64_t journal_errors = 0;
     std::uint64_t replayed_deltas = 0;  ///< WAL records replayed at restore
   };
+  /// The snapshot published at the end of the latest writer section,
+  /// with `budget` the current published target. Never takes the
+  /// session lock, so it does not wait for a running solve or batch.
   Stats stats() const;
 
  private:
+  class WriteSection;
+  class ReadSection;
+
   /// Checkpoint body; caller holds the writer lock.
   StoreStatus checkpoint_locked(std::string* error);
+  /// Applies a pending budget target; caller holds the writer lock.
+  void apply_budget_locked();
+  /// Recomputes the published stats snapshot; caller holds the writer
+  /// lock.
+  void publish_stats_locked();
 
   mutable std::shared_mutex mu_;
   QuerySession session_;
@@ -126,6 +159,10 @@ class TenantSession {
   std::uint64_t journal_errors_ = 0;
   std::uint64_t replayed_deltas_ = 0;
   bool restored_ = false;
+  std::atomic<std::size_t> budget_target_;
+  std::atomic<bool> budget_pending_{false};
+  mutable std::mutex stats_mu_;  ///< guards published_ only
+  Stats published_;
 };
 
 /// Registration outcome, echoed on the wire.
@@ -177,11 +214,20 @@ struct PersistTotals {
   std::uint64_t replayed_deltas = 0;  ///< WAL records replayed on restores
 };
 
+/// One pass over the live sessions for the stats verb and the metrics
+/// scrape: each session's published stats, keyed "tenant/network_id",
+/// and the durability totals folded from those same stats.
+struct RegistryStats {
+  std::vector<std::pair<std::string, TenantSession::Stats>> sessions;
+  PersistTotals persist;
+};
+
 class SessionRegistry {
  public:
   /// `global_mask_tables` caps the SUM of all sessions' mask-table
   /// budgets: explicit per-session requests are clamped to it, implicit
-  /// sessions split it evenly (>= 1 each).
+  /// sessions split it evenly (>= 1 each). A new share is published to
+  /// the implicit sessions only when it changes.
   explicit SessionRegistry(QueryCacheOptions default_cache,
                            std::size_t global_mask_tables,
                            RegistryPersistOptions persist = {});
@@ -189,8 +235,9 @@ class SessionRegistry {
   bool persistent() const noexcept { return !persist_.state_dir.empty(); }
 
   /// Binds a network (replacing any session under the same key) and
-  /// rebalances implicit budgets. Under persistence the new session is
-  /// checkpointed before this returns (RegisterOutcome::persisted).
+  /// publishes the implicit share if it changed; never waits on another
+  /// session's lock. Under persistence the new session is checkpointed
+  /// before this returns (RegisterOutcome::persisted).
   RegisterOutcome register_network(const std::string& tenant,
                                    const std::string& network_id,
                                    FlowNetwork net, FlowDemand default_demand,
@@ -216,7 +263,9 @@ class SessionRegistry {
   /// checkpoints failed.
   std::size_t checkpoint_all();
 
-  PersistTotals persist_totals() const;
+  /// Published stats of every live session plus the durability totals,
+  /// from one snapshot of the session map.
+  RegistryStats stats() const;
 
   /// nullptr when the key was never registered.
   std::shared_ptr<TenantSession> find(const std::string& tenant,
@@ -224,17 +273,18 @@ class SessionRegistry {
 
   std::size_t size() const;
 
-  /// (tenant "/" network_id, session) pairs for the stats verb.
+  /// (tenant "/" network_id, session) pairs, in key order.
   std::vector<std::pair<std::string, std::shared_ptr<TenantSession>>>
   snapshot() const;
 
  private:
-  void rebalance_locked();
   StoreOptions store_options() const;
   std::unique_ptr<SessionStore> make_store(const std::string& tenant,
                                            const std::string& network_id) const;
   /// Inserts (or replaces) under the registry lock, maintaining the
-  /// implicit-budget bookkeeping; returns whether a session was replaced.
+  /// implicit-budget bookkeeping: the newcomer gets the current share,
+  /// the other implicit sessions get it only when it changed. Returns
+  /// whether a session was replaced.
   bool adopt_session(const std::string& tenant, const std::string& network_id,
                      std::shared_ptr<TenantSession> session,
                      bool explicit_budget);
@@ -247,6 +297,9 @@ class SessionRegistry {
            std::shared_ptr<TenantSession>>
       sessions_;
   std::size_t implicit_count_ = 0;
+  /// Budget target every live implicit session holds; 0 before the
+  /// first implicit session. Guarded by mu_.
+  std::size_t implicit_share_ = 0;
   std::uint64_t restores_ = 0;  ///< guarded by mu_
   std::uint64_t corrupt_ = 0;   ///< guarded by mu_
 };

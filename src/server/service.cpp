@@ -363,11 +363,13 @@ WireResponse ReliabilityService::do_replay(const WireRequest& request,
 }
 
 std::string ReliabilityService::stats_json() const {
+  const RegistryStats registry = registry_.stats();
   std::string out = "{}";
   append_json_member(out, "wire_schema", std::to_string(kWireSchemaVersion));
   append_json_member(out, "api_version",
                      std::to_string(STREAMREL_API_VERSION));
-  append_json_member(out, "sessions", std::to_string(registry_.size()));
+  append_json_member(out, "sessions",
+                     std::to_string(registry.sessions.size()));
   append_json_member(
       out, "requests",
       std::to_string(requests_total_.load(std::memory_order_relaxed)));
@@ -391,7 +393,7 @@ std::string ReliabilityService::stats_json() const {
                       std::memory_order_relaxed)));
     append_json_member(out, "lanes", lanes);
   }
-  const PersistTotals persist = registry_.persist_totals();
+  const PersistTotals& persist = registry.persist;
   std::string pjson = "{}";
   append_json_member(pjson, "enabled", persist.enabled ? "true" : "false");
   append_json_member(pjson, "checkpoints", std::to_string(persist.checkpoints));
@@ -407,8 +409,7 @@ std::string ReliabilityService::stats_json() const {
                      std::to_string(persist.replayed_deltas));
   append_json_member(out, "persist", pjson);
   std::string tenants = "{}";
-  for (const auto& [name, session] : registry_.snapshot()) {
-    const TenantSession::Stats s = session->stats();
+  for (const auto& [name, s] : registry.sessions) {
     std::string t = "{}";
     append_json_member(t, "queries", std::to_string(s.queries));
     append_json_member(t, "cache_hits", std::to_string(s.cache_hits));
@@ -528,11 +529,11 @@ void ReliabilityService::refresh_scrape_gauges() {
               shed_lane_[static_cast<int>(lane)].load(std::memory_order_relaxed));
     }
   }
+  const RegistryStats registry = registry_.stats();
   metrics_
       .gauge("streamrel_sessions", "Registered tenant/network sessions")
-      .set(static_cast<double>(registry_.size()));
-  for (const auto& [name, session] : registry_.snapshot()) {
-    const TenantSession::Stats s = session->stats();
+      .set(static_cast<double>(registry.sessions.size()));
+  for (const auto& [name, s] : registry.sessions) {
     const auto [tenant, network] = split_session_key(name);
     MetricLabels labels{{"tenant", tenant}, {"network", network}};
     metrics_
@@ -579,7 +580,7 @@ void ReliabilityService::refresh_scrape_gauges() {
                "Resident bytes of cached slab mask tables", labels)
         .set(static_cast<double>(s.mask_bytes));
   }
-  const PersistTotals persist = registry_.persist_totals();
+  const PersistTotals& persist = registry.persist;
   if (persist.enabled) {
     metrics_
         .counter("streamrel_checkpoints_total",

@@ -8,12 +8,59 @@
 
 namespace streamrel {
 
+/// Writer section: holds the session lock exclusively. Entry applies a
+/// budget published since the last section; exit applies one published
+/// during this section, republishes stats, unlocks, and then settles a
+/// target whose try_lock lost the race with this section.
+class TenantSession::WriteSection {
+ public:
+  explicit WriteSection(TenantSession& session)
+      : session_(session), lock_(session.mu_) {
+    session_.apply_budget_locked();
+  }
+  ~WriteSection() {
+    session_.apply_budget_locked();
+    session_.publish_stats_locked();
+    lock_.unlock();
+    session_.settle_budget();
+  }
+  WriteSection(const WriteSection&) = delete;
+  WriteSection& operator=(const WriteSection&) = delete;
+
+ private:
+  TenantSession& session_;
+  std::unique_lock<std::shared_mutex> lock_;
+};
+
+/// Reader section: shared lock; on release, settles a target whose
+/// try_lock failed because this reader held the lock. Const readers
+/// settle too: every TenantSession is created non-const (make_shared),
+/// so the cast is well defined.
+class TenantSession::ReadSection {
+ public:
+  explicit ReadSection(const TenantSession& session)
+      : session_(const_cast<TenantSession&>(session)), lock_(session.mu_) {}
+  ~ReadSection() {
+    lock_.unlock();
+    session_.settle_budget();
+  }
+  ReadSection(const ReadSection&) = delete;
+  ReadSection& operator=(const ReadSection&) = delete;
+
+ private:
+  TenantSession& session_;
+  std::shared_lock<std::shared_mutex> lock_;
+};
+
 TenantSession::TenantSession(FlowNetwork net, FlowDemand default_demand,
                              const QueryCacheOptions& cache_options,
                              bool explicit_budget)
     : session_(std::move(net), cache_options),
       default_demand_(default_demand),
-      explicit_budget_(explicit_budget) {}
+      explicit_budget_(explicit_budget),
+      budget_target_(session_.cache_budget()) {
+  publish_stats_locked();
+}
 
 TenantSession::TenantSession(RestoredSession restored,
                              const QueryCacheOptions& cache_options,
@@ -23,20 +70,20 @@ TenantSession::TenantSession(RestoredSession restored,
       default_demand_(restored.default_demand),
       explicit_budget_(explicit_budget),
       replayed_deltas_(restored.replayed_deltas),
-      restored_(true) {}
+      restored_(true),
+      budget_target_(session_.cache_budget()) {
+  publish_stats_locked();
+}
 
 void TenantSession::attach_store(std::unique_ptr<SessionStore> store) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  const WriteSection section(*this);
   store_ = std::move(store);
 }
 
-bool TenantSession::durable() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return store_ != nullptr;
-}
+bool TenantSession::durable() const { return stats().durable; }
 
 StoreStatus TenantSession::checkpoint_now(std::string* error) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  const WriteSection section(*this);
   return checkpoint_locked(error);
 }
 
@@ -76,7 +123,7 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
   std::optional<DeltaSolveHint> hint_copy;
 
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    const WriteSection section(*this);
     session_.validate_overrides(overrides);
     if (!effective.delta_hint && session_.pending_hint_) {
       hint_copy = *session_.pending_hint_;
@@ -115,18 +162,18 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
   {
     // The warm path only reads the cached artifacts and the partition
     // entry — concurrent solves of the same tenant share this lock.
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    const ReadSection section(*this);
     report = session_.finish_prepared(prepared, effective, overrides, ctx);
   }
   if (report.result.status != SolveStatus::kExact && !report.bounds) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    const WriteSection section(*this);
     report.bounds =
         session_.bounds_with_overrides(demand, effective.bounds, overrides);
   }
   ctx->telemetry.merge(report.result.telemetry);
 
   {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    const WriteSection section(*this);
     session_.telemetry_.child("solves").merge(report.result.telemetry);
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
@@ -140,13 +187,13 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
 
 BatchReport TenantSession::batch(std::span<const WhatIfQuery> queries,
                                  const BatchOptions& options) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  const WriteSection section(*this);
   BatchEvaluator evaluator(session_);
   return evaluator.evaluate(queries, options);
 }
 
 DeltaOutcome TenantSession::apply_delta(const NetworkDelta& delta) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  const WriteSection section(*this);
   const DeltaOutcome outcome = session_.apply_delta(delta);
   // Keep the default demand anchored across topology renumbering.
   if (outcome.applied == DeltaClass::kTopology) {
@@ -174,22 +221,39 @@ DeltaOutcome TenantSession::apply_delta(const NetworkDelta& delta) {
 }
 
 FlowNetwork TenantSession::network_copy() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const ReadSection section(*this);
   return session_.network();
 }
 
 FlowDemand TenantSession::default_demand() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const ReadSection section(*this);
   return default_demand_;
 }
 
-void TenantSession::set_cache_budget(std::size_t max_mask_tables) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  session_.set_cache_budget(max_mask_tables);
+void TenantSession::publish_budget(std::size_t max_mask_tables) noexcept {
+  budget_target_.store(max_mask_tables);
+  budget_pending_.store(true);
 }
 
-TenantSession::Stats TenantSession::stats() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+void TenantSession::settle_budget() {
+  // A failed try_lock means a holder exists; it re-runs this check after
+  // its unlock, so the target is never left pending once the session's
+  // running ops have finished.
+  while (budget_pending_.load()) {
+    const std::unique_lock<std::shared_mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return;
+    apply_budget_locked();
+    publish_stats_locked();
+  }
+}
+
+void TenantSession::apply_budget_locked() {
+  if (budget_pending_.exchange(false)) {
+    session_.set_cache_budget(budget_target_.load());
+  }
+}
+
+void TenantSession::publish_stats_locked() {
   Stats s;
   s.queries = session_.telemetry().counter_or(telemetry_keys::kQueries);
   s.cache_hits = session_.cache_hits();
@@ -200,7 +264,6 @@ TenantSession::Stats TenantSession::stats() const {
   s.invalidations_survived = session_.cache_survived();
   s.mask_tables = session_.cached_mask_tables();
   s.mask_bytes = session_.cached_mask_bytes();
-  s.budget = session_.cache_budget();
   s.durable = store_ != nullptr;
   s.restored = restored_;
   if (store_) {
@@ -212,6 +275,17 @@ TenantSession::Stats TenantSession::stats() const {
   }
   s.journal_errors = journal_errors_;
   s.replayed_deltas = replayed_deltas_;
+  const std::lock_guard<std::mutex> lock(stats_mu_);
+  published_ = s;
+}
+
+TenantSession::Stats TenantSession::stats() const {
+  Stats s;
+  {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    s = published_;
+  }
+  s.budget = budget_target_.load();
   return s;
 }
 
@@ -241,19 +315,46 @@ bool SessionRegistry::adopt_session(const std::string& tenant,
                                     const std::string& network_id,
                                     std::shared_ptr<TenantSession> session,
                                     bool explicit_budget) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::shared_ptr<TenantSession>> resized;
   bool replaced = false;
-  const auto key = std::make_pair(tenant, network_id);
-  const auto it = sessions_.find(key);
-  if (it != sessions_.end()) {
-    replaced = true;
-    if (!it->second->explicit_budget()) implicit_count_ -= 1;
-    it->second = std::move(session);
-  } else {
-    sessions_.emplace(key, std::move(session));
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto key = std::make_pair(tenant, network_id);
+    const auto it = sessions_.find(key);
+    if (it != sessions_.end() && !it->second->explicit_budget()) {
+      implicit_count_ -= 1;
+    }
+    if (!explicit_budget) implicit_count_ += 1;
+    if (implicit_count_ > 0) {
+      // Implicit sessions split the global cap evenly; explicit budgets
+      // were clamped at registration and are left alone.
+      const std::size_t share =
+          std::max<std::size_t>(global_mask_tables_ / implicit_count_, 1);
+      if (!explicit_budget) {
+        session->publish_budget(share);
+        resized.push_back(session);
+      }
+      if (share != implicit_share_) {
+        for (auto& [other_key, other] : sessions_) {
+          if (other_key == key || other->explicit_budget()) continue;
+          other->publish_budget(share);
+          resized.push_back(other);
+        }
+        implicit_share_ = share;
+      }
+    }
+    if (it != sessions_.end()) {
+      replaced = true;
+      it->second = std::move(session);
+    } else {
+      sessions_.emplace(key, std::move(session));
+    }
   }
-  if (!explicit_budget) implicit_count_ += 1;
-  rebalance_locked();
+  // Targets were published in registry order under mu_; applying them
+  // needs no ordering, and a busy session applies its own.
+  for (const std::shared_ptr<TenantSession>& target : resized) {
+    target->settle_budget();
+  }
   return replaced;
 }
 
@@ -349,11 +450,11 @@ RestoreOutcome SessionRegistry::restore_session(const std::string& tenant,
         std::min(*restored.max_mask_tables, global_mask_tables_);
   }
   outcome.replayed_deltas = restored.replayed_deltas;
+  outcome.nodes = restored.net.num_nodes();
+  outcome.edges = restored.net.num_edges();
   auto session = std::make_shared<TenantSession>(std::move(restored), cache,
                                                  explicit_budget);
   session->attach_store(std::move(store));
-  outcome.nodes = session->network_copy().num_nodes();
-  outcome.edges = session->network_copy().num_edges();
   adopt_session(tenant, network_id, session, explicit_budget);
   outcome.cache_budget = session->stats().budget;
   const std::lock_guard<std::mutex> lock(mu_);
@@ -385,33 +486,23 @@ std::size_t SessionRegistry::checkpoint_all() {
   return failures;
 }
 
-PersistTotals SessionRegistry::persist_totals() const {
-  PersistTotals totals;
-  totals.enabled = persistent();
-  for (const auto& [key, session] : snapshot()) {
+RegistryStats SessionRegistry::stats() const {
+  RegistryStats out;
+  out.persist.enabled = persistent();
+  for (auto& [name, session] : snapshot()) {
     const TenantSession::Stats s = session->stats();
-    totals.checkpoints += s.checkpoints;
-    totals.wal_appends += s.wal_appends;
-    totals.wal_records += s.wal_records;
-    totals.bytes_written += s.state_bytes_written;
-    totals.journal_errors += s.journal_errors;
-    totals.replayed_deltas += s.replayed_deltas;
+    out.persist.checkpoints += s.checkpoints;
+    out.persist.wal_appends += s.wal_appends;
+    out.persist.wal_records += s.wal_records;
+    out.persist.bytes_written += s.state_bytes_written;
+    out.persist.journal_errors += s.journal_errors;
+    out.persist.replayed_deltas += s.replayed_deltas;
+    out.sessions.emplace_back(std::move(name), s);
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  totals.restores = restores_;
-  totals.corrupt = corrupt_;
-  return totals;
-}
-
-void SessionRegistry::rebalance_locked() {
-  if (implicit_count_ == 0) return;
-  // Implicit sessions split the global cap evenly; explicit budgets were
-  // clamped at registration and are left alone.
-  const std::size_t share =
-      std::max<std::size_t>(global_mask_tables_ / implicit_count_, 1);
-  for (auto& [key, session] : sessions_) {
-    if (!session->explicit_budget()) session->set_cache_budget(share);
-  }
+  out.persist.restores = restores_;
+  out.persist.corrupt = corrupt_;
+  return out;
 }
 
 std::shared_ptr<TenantSession> SessionRegistry::find(

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -455,6 +459,114 @@ TEST(Server, StatsExposesQueueEstimateAndPerLaneSheds) {
             service.shed_count());
 }
 
+/// Output sink that parks its first writer until release() — a batch's
+/// progress line is printed from inside the batch, under its session's
+/// writer lock, so a parked write pins that batch in flight.
+class ParkingStreamBuf : public std::streambuf {
+ public:
+  void wait_parked() { parked_.wait(); }
+  void release() { released_.count_down(); }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    park();
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    park();
+    return n;
+  }
+
+ private:
+  void park() {
+    if (!first_.exchange(true)) parked_.count_down();
+    released_.wait();
+  }
+
+  std::atomic<bool> first_{false};
+  std::latch parked_{1};
+  std::latch released_{1};
+};
+
+TEST(Server, RegistrationAndStatsDoNotWaitForAnotherTenantsBatch) {
+  ServiceOptions options;
+  options.global_mask_tables = 2;
+  ReliabilityService service(options);
+  const GeneratedNetwork busy_net = test_instance(21);
+  ASSERT_TRUE(service.execute(register_request(busy_net, "busy")).ok);
+
+  // A cold batch on "busy" that builds two mask tables, and parks in its
+  // first progress write while it holds busy's writer lock.
+  WireRequest batch;
+  batch.verb = WireVerb::kBatch;
+  batch.lane = WireLane::kBulk;
+  batch.tenant = "busy";
+  batch.queries.resize(2);
+  for (WireQuery& q : batch.queries) q.method = Method::kBottleneck;
+  batch.queries[1].rate = 1;
+  ParkingStreamBuf sink;
+  std::ostream progress_out(&sink);
+  RequestHooks hooks;
+  hooks.progress = std::make_shared<ProgressReporter>(&progress_out);
+  std::atomic<bool> batch_ok{false};
+  std::thread batch_thread(
+      [&] { batch_ok = service.execute(batch, hooks).ok; });
+  sink.wait_parked();
+
+  // Both run on their own threads so a wait on busy's lock would show
+  // as a timeout here instead of a hung test.
+  auto registered = std::async(std::launch::async, [&] {
+    return service.execute(register_request(test_instance(22), "newcomer"));
+  });
+  const bool register_done =
+      registered.wait_for(std::chrono::seconds(30)) ==
+      std::future_status::ready;
+  std::future<WireResponse> stats;
+  bool stats_done = false;
+  if (register_done) {
+    stats = std::async(std::launch::async, [&] {
+      WireRequest statsv;
+      statsv.verb = WireVerb::kStats;
+      WireResponse resp = service.execute(statsv);
+      if (service.metrics_text().empty()) resp.ok = false;
+      return resp;
+    });
+    stats_done =
+        stats.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  }
+  // Asserted only after the batch is released, so a failure never
+  // leaves the parked thread behind.
+  const bool batch_still_parked = !batch_ok.load();
+  sink.release();
+  batch_thread.join();
+  EXPECT_TRUE(batch_ok.load());
+  ASSERT_TRUE(register_done) << "register_network waited for busy's batch";
+  ASSERT_TRUE(stats_done) << "stats or a scrape waited for busy's batch";
+  EXPECT_TRUE(batch_still_parked);
+
+  // Two implicit sessions split the cap of 2: one table each.
+  const WireResponse reg = registered.get();
+  ASSERT_TRUE(reg.ok) << reg.error_message;
+  EXPECT_EQ(parse_json(reg.result_json).find("cache_budget")->as_number(),
+            1.0);
+  const WireResponse during = stats.get();
+  ASSERT_TRUE(during.ok);
+  const JsonValue during_doc = parse_json(during.result_json);
+  const JsonValue* tenants = during_doc.find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  EXPECT_EQ(tenants->find("busy/default")->find("budget")->as_number(), 1.0);
+  EXPECT_EQ(tenants->find("newcomer/default")->find("budget")->as_number(),
+            1.0);
+
+  // The shrink published mid-batch took effect when the batch let go of
+  // its lock: one of its two tables was evicted.
+  const JsonValue after = parse_json(service.stats_json());
+  const JsonValue* busy = after.find("tenants")->find("busy/default");
+  EXPECT_EQ(busy->find("mask_tables")->as_number(), 1.0);
+  EXPECT_EQ(busy->find("cache_evictions")->as_number(), 1.0);
+  EXPECT_EQ(busy->find("budget")->as_number(), 1.0);
+}
+
 TEST(Server, StatsStaysCoherentUnderConcurrentTenantsAndScrapes) {
   constexpr int kTenants = 4;
   std::vector<GeneratedNetwork> nets;
@@ -511,6 +623,24 @@ TEST(Server, StatsStaysCoherentUnderConcurrentTenantsAndScrapes) {
       }
     });
   }
+  // Registrations race the scrapes and the load: new tenants shrink the
+  // implicit share, a replacement leaves it alone.
+  constexpr int kLate = 4;
+  std::thread registrar([&] {
+    for (int r = 0; r <= kLate; ++r) {
+      const std::string tenant = "late" + std::to_string(r % kLate);
+      const WireResponse resp = service.execute(register_request(
+          test_instance(static_cast<std::uint64_t>(31 + r)), tenant));
+      if (!resp.ok) {
+        failures.fetch_add(1);
+        continue;
+      }
+      const double budget =
+          parse_json(resp.result_json).find("cache_budget")->as_number();
+      if (budget < 1.0 || budget > 256.0) failures.fetch_add(1);
+    }
+  });
+  registrar.join();
   for (std::thread& th : load) th.join();
   service.drain();
   stop.store(true);
@@ -522,6 +652,13 @@ TEST(Server, StatsStaysCoherentUnderConcurrentTenantsAndScrapes) {
   const JsonValue stats = parse_json(service.stats_json());
   EXPECT_GE(stats.find("requests")->as_number(),
             static_cast<double>(sent.load()));
+  // Once quiet, every implicit session holds the eager share and fits it.
+  EXPECT_EQ(stats.find("sessions")->as_number(), kTenants + kLate);
+  const double share = 256.0 / (kTenants + kLate);
+  for (const auto& [name, tenant] : stats.find("tenants")->as_object()) {
+    EXPECT_EQ(tenant.find("budget")->as_number(), share) << name;
+    EXPECT_LE(tenant.find("mask_tables")->as_number(), share) << name;
+  }
 }
 
 TEST(Server, MetricsVerbRendersValidExposition) {
