@@ -248,7 +248,6 @@ int main(int argc, char** argv) {
       .metric("demand", static_cast<std::int64_t>(d))
       .metric("seed", seed)
       .metric("threads", static_cast<std::int64_t>(threads))
-      .metric("avx2_lane_kernel", lane_kernel_avx2_active())
       .metric("reliability_delta", delta)
       .metric("trace.subgraph_copies", subgraph_copies)
       .metric("trace.view_builds", view_builds);

@@ -1,13 +1,13 @@
 #pragma once
 // Bit-parallel slab layout over side failure configurations.
 //
-// The side-array sweep (§III-C) and the probability fold both walk the
-// 2^|E_side| configurations in Gray-code rank order. A SLAB is a block of
-// 64 consecutive ranks, stored TRANSPOSED: one uint64_t per side edge
-// whose bit L answers "is edge e alive in the configuration of rank
-// base + L?". In this layout one word operation touches 64
-// configurations at once — a certificate check becomes a handful of ANDs
-// and a feasibility class like connectivity is decided by a 64-lane BFS.
+// The side-array sweep (§III-C) walks the 2^|E_side| configurations in
+// Gray-code rank order. A SLAB is a block of 64 consecutive ranks, stored
+// TRANSPOSED: one uint64_t per side edge whose bit L answers "is edge e
+// alive in the configuration of rank base + L?". In this layout one word
+// operation touches 64 configurations at once — a certificate check
+// becomes a handful of ANDs and a feasibility class like connectivity is
+// decided by a 64-lane BFS.
 //
 // The fill is O(|E_side|) per slab, not O(64 |E_side|), thanks to a Gray
 // identity: for a 64-aligned base, base + L splits XOR-disjointly into
@@ -23,11 +23,11 @@
 //   word(e) = low_pattern(e) ^ (bit e of gray_code(base) ? ~0 : 0).
 //
 // SlabMaskTable is the matching rank-ordered resting form of a side
-// array: by_rank[r] holds the realized-assignment mask of configuration
-// gray_code(r), so the fold reads it with unit stride, slab by slab.
+// array: a palette of the distinct realized-assignment masks plus one
+// small palette index per rank, which the fold reads with unit stride.
 
 #include <cstdint>
-#include <span>
+#include <variant>
 #include <vector>
 
 #include "streamrel/util/bitops.hpp"
@@ -52,7 +52,6 @@ class BitSlabs {
   std::uint64_t word(int e) const {
     return words_[static_cast<std::size_t>(e)];
   }
-  std::span<const std::uint64_t> words() const noexcept { return words_; }
 
   /// The constant lane pattern of edge e over gray_code(0..63) — exposed
   /// so tests can cross-check fill() against the per-lane definition.
@@ -62,30 +61,53 @@ class BitSlabs {
   std::vector<std::uint64_t> words_;
 };
 
-/// A side array at rest, in Gray-code rank order: by_rank[r] is the mask
-/// of assignments realized by configuration gray_code(r). Rank order is
-/// what every consumer walks (sweeps, folds, slabs), so this is the form
+/// A side array at rest, in Gray-code rank order, as a palette-indexed
+/// mask column: `palette` holds the distinct realized-assignment masks in
+/// first-seen rank order, and `index` holds, per rank r, the palette slot
+/// of configuration gray_code(r)'s mask. Sides realize few distinct
+/// masks, so the index is one byte per rank while the palette holds at
+/// most 256 masks and widens to two or four bytes only for tables that
+/// need it. Both the palette order and the index width follow from the
+/// masks alone, so equal arrays give equal tables. Rank order is what
+/// every consumer walks (sweeps, folds, slabs), so this is the form
 /// QuerySession caches; at_config() serves point lookups through the
 /// inverse Gray permutation.
 struct SlabMaskTable {
-  std::vector<Mask> by_rank;
-  int num_links = 0;  ///< |E_side|: by_rank.size() == 2^num_links
+  using Index = std::variant<std::vector<std::uint8_t>,
+                             std::vector<std::uint16_t>,
+                             std::vector<std::uint32_t>>;
 
-  std::size_t size() const noexcept { return by_rank.size(); }
-  bool empty() const noexcept { return by_rank.empty(); }
+  std::vector<Mask> palette;
+  Index index;
+  int num_links = 0;  ///< |E_side|: size() == 2^num_links
+
+  std::size_t size() const noexcept {
+    return std::visit([](const auto& column) { return column.size(); },
+                      index);
+  }
+  bool empty() const noexcept { return size() == 0; }
   void clear() noexcept {
-    by_rank.clear();
+    palette.clear();
+    index = Index{};
     num_links = 0;
+  }
+  /// Resident bytes: the index column plus the palette.
+  std::size_t bytes() const noexcept {
+    const std::size_t width = std::visit(
+        [](const auto& column) { return sizeof(column[0]); }, index);
+    return size() * width + palette.size() * sizeof(Mask);
   }
 
   Mask at_rank(Mask rank) const {
-    return by_rank[static_cast<std::size_t>(rank)];
+    return std::visit(
+        [&](const auto& column) {
+          return palette[column[static_cast<std::size_t>(rank)]];
+        },
+        index);
   }
   /// Realized mask of a configuration-value lookup (the historical
   /// config-indexed array's operator[]).
-  Mask at_config(Mask config) const {
-    return by_rank[static_cast<std::size_t>(gray_rank(config))];
-  }
+  Mask at_config(Mask config) const { return at_rank(gray_rank(config)); }
 
   bool operator==(const SlabMaskTable& other) const = default;
 };
@@ -95,24 +117,5 @@ struct SlabMaskTable {
 SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
                         int num_links);
 std::vector<Mask> config_form(const SlabMaskTable& table);
-
-/// Per-lane configuration probabilities of one slab: for each lane L,
-/// the product over edges e of (bit L of words[e] ? 1 - probs[e] :
-/// probs[e]), multiplied in ascending edge order. out must hold `lanes`
-/// doubles. Dispatches to an AVX2 kernel at runtime when the CPU has it;
-/// the portable variant below is the always-scalar reference, and both
-/// perform the identical per-lane IEEE operation sequence, so results
-/// are bitwise equal — the fold's summation order never depends on the
-/// host CPU.
-void lane_config_products(std::span<const std::uint64_t> words,
-                          std::span<const double> probs, int lanes,
-                          double* out);
-void lane_config_products_portable(std::span<const std::uint64_t> words,
-                                   std::span<const double> probs, int lanes,
-                                   double* out);
-
-/// True when lane_config_products resolved to the AVX2 kernel on this
-/// host (introspection for benches and tests).
-bool lane_kernel_avx2_active() noexcept;
 
 }  // namespace streamrel

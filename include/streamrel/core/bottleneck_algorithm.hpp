@@ -89,8 +89,8 @@ struct BottleneckArtifacts {
   AssignmentMode mode_used = AssignmentMode::kForwardOnly;
   SideProblem side_s;
   SideProblem side_t;
-  /// The side arrays in slab (Gray-rank-ordered) resting form — what the
-  /// vectorized fold consumes with unit stride. at_config() recovers the
+  /// The side arrays in slab (Gray-rank-ordered, palette-indexed)
+  /// resting form — what the fold consumes with unit stride. at_config() recovers the
   /// paper's configuration-indexed view; config_form() materializes it.
   SlabMaskTable array_s;
   SlabMaskTable array_t;

@@ -11,14 +11,15 @@
 //   1. bottleneck decompositions, keyed by (s, t) + search options;
 //   2. assignment sets, keyed by (cut, d);
 //   3. side-array mask tables, keyed by (side subgraph, cut capacities,
-//      d) — LRU-bounded, since one table is 2^|E_side| masks. Tables
-//      rest in slab form (SlabMaskTable, Gray-rank order), the layout
-//      the vectorized fold consumes with unit stride.
+//      d) — LRU-bounded, since one table holds 2^|E_side| ranks. Tables
+//      rest in slab form (SlabMaskTable: a palette of distinct masks and
+//      a one-byte index per Gray rank), the layout the fold consumes
+//      with unit stride.
 //
 // A probability-only "what-if" query (perturbed p(e) after churn, same
-// topology) then skips straight to the accumulation: two slab folds
-// (64 configuration probabilities per lane-product kernel call) plus
-// 2^k inclusion–exclusion terms, no max-flow.
+// topology) then skips straight to the accumulation: two folds (a
+// prefix-product table and a few vectorized multiplies per
+// configuration) plus 2^k inclusion–exclusion terms, no max-flow.
 //
 // Invalidation is CUT-SCOPED, decided per edit class × artifact layer:
 //
@@ -199,14 +200,14 @@ class QuerySession {
   void set_cache_budget(std::size_t max_mask_tables);
   std::size_t cache_budget() const { return cache_options_.max_mask_tables; }
   std::size_t cached_mask_tables() const { return lru_.size(); }
-  /// Resident bytes of the cached slab mask tables (the dominant cache
-  /// memory), for budget-vs-usage gauges in the daemon's metrics.
+  /// Resident bytes of the cached slab mask tables (index columns plus
+  /// palettes, the dominant cache memory), for budget-vs-usage gauges in
+  /// the daemon's metrics.
   std::size_t cached_mask_bytes() const {
     std::size_t bytes = 0;
     for (const auto& [key, entry] : lru_) {
-      bytes += (entry->artifacts.array_s.by_rank.size() +
-                entry->artifacts.array_t.by_rank.size()) *
-               sizeof(Mask);
+      bytes += entry->artifacts.array_s.bytes() +
+               entry->artifacts.array_t.bytes();
     }
     return bytes;
   }

@@ -171,7 +171,7 @@ std::vector<Mask> build_side_array(const SideProblem& side,
                                    std::uint64_t* maxflow_calls = nullptr);
 
 /// The same array in its rank-ordered resting form (see SlabMaskTable):
-/// what BottleneckArtifacts carries and the slab fold consumes with unit
+/// what BottleneckArtifacts carries and the fold consumes with unit
 /// stride. Identical sweep, identical counters; only the output
 /// permutation differs.
 SlabMaskTable build_side_array_slab(const SideProblem& side,
@@ -183,35 +183,29 @@ SlabMaskTable build_side_array_slab(const SideProblem& side,
 
 /// A side array folded into a sparse probability distribution over
 /// realized-assignment masks: bucket (m, P{configurations realizing
-/// exactly the set m}). The accumulation step only needs this. The fold
-/// streams the configurations in Gray-rank order, 64 at a time: each
-/// slab's probabilities come from the vectorized lane-product kernel
-/// (direct per-configuration products, no ratio chain, no drift) and
-/// accumulate into a flat open-addressed bucket table. The per-lane IEEE
-/// operation sequence is fixed — blend-select then multiply, edges
-/// ascending — so the result is bitwise identical across the scalar and
-/// AVX2 kernel paths and across all sweep strategies.
+/// exactly the set m}), sorted by mask. The accumulation step only needs
+/// this. The fold walks the table's palette index in Gray-rank order.
+/// Each configuration's probability is the product of its edge factors
+/// (alive ? 1 - p : p) in ascending edge order, starting from 1.0. A
+/// prefix table over the low ten edges supplies most of each product,
+/// so the per-configuration work is a few vectorized multiplies. The
+/// probabilities then add into their palette slot's bucket and into a
+/// Neumaier total, both in rank order. Every IEEE operation is fixed by
+/// the masks and the probabilities, so the result is bitwise identical
+/// across sweep strategies, index widths and host CPUs.
 struct MaskDistribution {
   std::vector<std::pair<Mask, double>> buckets;
   double total = 0.0;  ///< sum of bucket probabilities (== 1 up to rounding)
 };
 
 MaskDistribution bucket_side_array(const SideProblem& side,
-                                   const std::vector<Mask>& array);
+                                   const SlabMaskTable& table);
 
 /// Same fold under caller-supplied failure probabilities (one per side
 /// link, indexed by side.view edge id) — the probability-only "what-if"
-/// path: the cached mask array is reused, only the fold reruns.
-MaskDistribution bucket_side_array(const SideProblem& side,
-                                   const std::vector<Mask>& array,
-                                   std::span<const double> failure_probs);
-
-/// Slab-form folds: same buckets, same insertion order, same Kahan
-/// total — bitwise identical to the config-indexed overloads — but the
-/// mask reads are unit-stride and the per-configuration probabilities
-/// come 64 at a time from the vectorized lane-product kernel.
-MaskDistribution bucket_side_array(const SideProblem& side,
-                                   const SlabMaskTable& table);
+/// path: the cached mask table is reused, only the fold reruns. Throws
+/// std::invalid_argument unless there is one probability per side link
+/// and the table holds 2^|side links| ranks.
 MaskDistribution bucket_side_array(const SideProblem& side,
                                    const SlabMaskTable& table,
                                    std::span<const double> failure_probs);

@@ -60,6 +60,9 @@ class JsonValue {
 /// after the value). Throws std::invalid_argument with a byte offset on
 /// malformed input. Supports the full RFC 8259 grammar except \uXXXX
 /// escapes for code points outside ASCII are passed through as-is.
+/// Arrays and objects nested deeper than kMaxJsonDepth are rejected the
+/// same way, so hostile input cannot exhaust the parser's stack.
+inline constexpr int kMaxJsonDepth = 256;
 JsonValue parse_json(std::string_view text);
 
 }  // namespace streamrel

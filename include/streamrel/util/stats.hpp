@@ -3,16 +3,26 @@
 // intervals for Monte Carlo estimates, and least-squares fitting used by
 // the scaling benchmarks to estimate empirical exponents.
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace streamrel {
 
 /// Kahan–Neumaier compensated summation. Exhaustive reliability algorithms
-/// sum up to 2^63 tiny products; naive summation loses digits.
+/// sum up to 2^63 tiny products; naive summation loses digits. add() is
+/// inline because the side-array fold calls it once per configuration.
 class KahanSum {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    const double t = sum_ + x;
+    if (std::abs(sum_) >= std::abs(x)) {
+      compensation_ += (sum_ - t) + x;
+    } else {
+      compensation_ += (x - t) + sum_;
+    }
+    sum_ = t;
+  }
   double value() const noexcept { return sum_ + compensation_; }
   void reset() noexcept { sum_ = 0.0; compensation_ = 0.0; }
 

@@ -1,12 +1,10 @@
 #include "streamrel/core/bit_slabs.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define STREAMREL_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
 
 namespace streamrel {
 
@@ -56,111 +54,119 @@ void BitSlabs::fill(Mask base_rank) {
   }
 }
 
+namespace {
+
+// Open-addressed mask -> palette slot map for slab_form's permute pass:
+// each table cell holds a palette slot. Runs of equal masks are common in
+// rank order, so the last answer is checked first.
+class PaletteSlots {
+ public:
+  explicit PaletteSlots(std::vector<Mask>& palette) : palette_(palette) {}
+
+  std::uint32_t slot(Mask mask) {
+    if (last_ < palette_.size() && palette_[last_] == mask) return last_;
+    std::size_t i = home(mask);
+    while (table_[i] != kFree && palette_[table_[i]] != mask) i = next(i);
+    if (table_[i] != kFree) return last_ = table_[i];
+    last_ = table_[i] = static_cast<std::uint32_t>(palette_.size());
+    palette_.push_back(mask);
+    if (palette_.size() * 2 > table_.size()) grow();
+    return last_;
+  }
+
+ private:
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+
+  std::size_t home(Mask mask) const noexcept {
+    return static_cast<std::size_t>((mask * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  std::size_t next(std::size_t i) const noexcept {
+    return (i + 1) & (table_.size() - 1);
+  }
+
+  void grow() {
+    table_.assign(table_.size() * 2, kFree);
+    --shift_;
+    for (std::uint32_t s = 0; s < palette_.size(); ++s) {
+      std::size_t i = home(palette_[s]);
+      while (table_[i] != kFree) i = next(i);
+      table_[i] = s;
+    }
+  }
+
+  std::vector<Mask>& palette_;
+  std::vector<std::uint32_t> table_ = std::vector<std::uint32_t>(64, kFree);
+  int shift_ = 64 - 6;  ///< 64 - log2(table_.size())
+  std::uint32_t last_ = 0;
+};
+
+// Writes the palette slots of the ranks from `rank` on into `column`
+// until the palette outgrows its index type; returns the first rank not
+// written.
+template <typename I>
+std::size_t fill_slots(const std::vector<Mask>& config_indexed,
+                       std::size_t rank, PaletteSlots& slots,
+                       std::vector<I>& column) {
+  for (; rank < column.size(); ++rank) {
+    const std::uint32_t s =
+        slots.slot(config_indexed[static_cast<std::size_t>(gray_code(rank))]);
+    if (s > std::numeric_limits<I>::max()) break;
+    column[rank] = static_cast<I>(s);
+  }
+  return rank;
+}
+
+// Copies the ranks done so far into a column of the next index width.
+template <typename Wide, typename Narrow>
+std::vector<Wide> widen(const std::vector<Narrow>& column, std::size_t done) {
+  std::vector<Wide> wide(column.size());
+  std::copy(column.begin(), column.begin() + static_cast<std::ptrdiff_t>(done),
+            wide.begin());
+  return wide;
+}
+
+}  // namespace
+
 SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
                         int num_links) {
   if (config_indexed.size() != (std::size_t{1} << num_links)) {
     throw std::invalid_argument("slab_form: array size is not 2^num_links");
   }
+  const std::size_t n = config_indexed.size();
   SlabMaskTable table;
   table.num_links = num_links;
-  table.by_rank.resize(config_indexed.size());
-  for (std::size_t rank = 0; rank < config_indexed.size(); ++rank) {
-    table.by_rank[rank] =
-        config_indexed[static_cast<std::size_t>(gray_code(rank))];
+  PaletteSlots slots(table.palette);
+  // One pass in rank order; the column widens only when the palette
+  // outgrows 256, then 65,536 masks.
+  std::vector<std::uint8_t> narrow(n);
+  std::size_t rank = fill_slots(config_indexed, 0, slots, narrow);
+  if (rank == n) {
+    table.index = std::move(narrow);
+    return table;
   }
+  std::vector<std::uint16_t> mid = widen<std::uint16_t>(narrow, rank);
+  rank = fill_slots(config_indexed, rank, slots, mid);
+  if (rank == n) {
+    table.index = std::move(mid);
+    return table;
+  }
+  std::vector<std::uint32_t> wide = widen<std::uint32_t>(mid, rank);
+  fill_slots(config_indexed, rank, slots, wide);
+  table.index = std::move(wide);
   return table;
 }
 
 std::vector<Mask> config_form(const SlabMaskTable& table) {
-  std::vector<Mask> array(table.by_rank.size());
-  for (std::size_t rank = 0; rank < table.by_rank.size(); ++rank) {
-    array[static_cast<std::size_t>(gray_code(rank))] = table.by_rank[rank];
-  }
+  std::vector<Mask> array(table.size());
+  std::visit(
+      [&](const auto& column) {
+        for (std::size_t rank = 0; rank < column.size(); ++rank) {
+          array[static_cast<std::size_t>(gray_code(rank))] =
+              table.palette[column[rank]];
+        }
+      },
+      table.index);
   return array;
-}
-
-void lane_config_products_portable(std::span<const std::uint64_t> words,
-                                   std::span<const double> probs, int lanes,
-                                   double* out) {
-  for (int L = 0; L < lanes; ++L) {
-    double acc = 1.0;
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      acc *= ((words[e] >> L) & 1) != 0 ? 1.0 - p : p;
-    }
-    out[L] = acc;
-  }
-}
-
-namespace {
-
-using LaneKernel = void (*)(std::span<const std::uint64_t>,
-                            std::span<const double>, int, double*);
-
-#ifdef STREAMREL_X86_DISPATCH
-
-// Four lanes per vector, identical per-lane operation sequence to the
-// portable kernel: one blend-selected multiply per edge, in ascending
-// edge order — so the two paths agree bitwise and the fold's numbers do
-// not depend on the host CPU.
-__attribute__((target("avx2"))) void lane_products_avx2(
-    std::span<const std::uint64_t> words, std::span<const double> probs,
-    int lanes, double* out) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  int L = 0;
-  for (; L + 4 <= lanes; L += 4) {
-    const __m256i shift = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(L)),
-        _mm256_set_epi64x(3, 2, 1, 0));
-    __m256d acc = _mm256_set1_pd(1.0);
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      const __m256i word =
-          _mm256_set1_epi64x(static_cast<long long>(words[e]));
-      const __m256i bits =
-          _mm256_and_si256(_mm256_srlv_epi64(word, shift), one);
-      const __m256d alive_mask =
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(bits, one));
-      acc = _mm256_mul_pd(
-          acc, _mm256_blendv_pd(_mm256_set1_pd(p), _mm256_set1_pd(1.0 - p),
-                                alive_mask));
-    }
-    _mm256_storeu_pd(out + L, acc);
-  }
-  for (; L < lanes; ++L) {
-    double acc = 1.0;
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      acc *= ((words[e] >> L) & 1) != 0 ? 1.0 - p : p;
-    }
-    out[L] = acc;
-  }
-}
-
-#endif  // STREAMREL_X86_DISPATCH
-
-LaneKernel resolve_lane_kernel() noexcept {
-#ifdef STREAMREL_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return &lane_products_avx2;
-#endif
-  return &lane_config_products_portable;
-}
-
-LaneKernel active_lane_kernel() noexcept {
-  static const LaneKernel kernel = resolve_lane_kernel();
-  return kernel;
-}
-
-}  // namespace
-
-void lane_config_products(std::span<const std::uint64_t> words,
-                          std::span<const double> probs, int lanes,
-                          double* out) {
-  active_lane_kernel()(words, probs, lanes, out);
-}
-
-bool lane_kernel_avx2_active() noexcept {
-  return active_lane_kernel() != &lane_config_products_portable;
 }
 
 }  // namespace streamrel

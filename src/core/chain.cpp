@@ -264,9 +264,9 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     // Source-side state: layer 0's array over D_0.
     const SideProblem first_side = make_side_problem(
         snapshot, demand, boundaries.front().partition, /*source_side=*/true);
-    const std::vector<Mask> first_array =
-        build_side_array(first_side, boundaries.front().assignments,
-                         demand.rate, side_opts, &side_stats, ctx);
+    const SlabMaskTable first_array =
+        build_side_array_slab(first_side, boundaries.front().assignments,
+                              demand.rate, side_opts, &side_stats, ctx);
     configurations += first_array.size();
     StateMap state;
     for (const auto& [mask, p] :
@@ -295,9 +295,9 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     // Sink-side finish: last layer's array over D_{last}.
     const SideProblem last_side = make_side_problem(
         snapshot, demand, boundaries.back().partition, /*source_side=*/false);
-    const std::vector<Mask> last_array =
-        build_side_array(last_side, boundaries.back().assignments,
-                         demand.rate, side_opts, &side_stats, ctx);
+    const SlabMaskTable last_array =
+        build_side_array_slab(last_side, boundaries.back().assignments,
+                              demand.rate, side_opts, &side_stats, ctx);
     configurations += last_array.size();
     const MaskDistribution final_dist =
         bucket_side_array(last_side, last_array);

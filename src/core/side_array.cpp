@@ -1146,126 +1146,83 @@ Mask SideMaskEvaluator::realized(Mask config) {
 
 namespace {
 
-// Open-addressed accumulation table for (realized mask -> probability).
-// Distinct masks are few (<= min(2^|E_side|, 2^|D|) and usually far
-// fewer), so a flat power-of-two table with linear probing beats
-// unordered_map's node allocations in the hot fold loop. Mask values
-// never exceed 63 usable bits, so the all-ones key can act as EMPTY.
-class FlatBucketTable {
- public:
-  FlatBucketTable()
-      : keys_(kInitialCapacity, kEmpty), sums_(kInitialCapacity, 0.0) {}
+// Low edges covered by the fold's prefix table: 2^10 doubles stay in L1.
+constexpr int kPrefixEdges = 10;
 
-  void add(Mask key, double p) {
-    std::size_t i = slot(key);
-    while (keys_[i] != key) {
-      if (keys_[i] == kEmpty) {
-        keys_[i] = key;
-        ++size_;
-        if (size_ * 10 >= keys_.size() * 7) {
-          grow();
-          i = slot(key);
-          while (keys_[i] != key) i = (i + 1) & (keys_.size() - 1);
-        }
-        break;
-      }
-      i = (i + 1) & (keys_.size() - 1);
-    }
-    sums_[i] += p;
-  }
-
-  std::vector<std::pair<Mask, double>> entries() const {
-    std::vector<std::pair<Mask, double>> out;
-    out.reserve(size_);
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmpty) out.emplace_back(keys_[i], sums_[i]);
-    }
-    return out;
-  }
-
- private:
-  static constexpr Mask kEmpty = ~Mask{0};
-  static constexpr std::size_t kInitialCapacity = 64;
-
-  std::size_t slot(Mask key) const noexcept {
-    // splitmix64 finalizer.
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & (keys_.size() - 1);
-  }
-
-  void grow() {
-    const std::vector<Mask> old_keys = std::move(keys_);
-    const std::vector<double> old_sums = std::move(sums_);
-    keys_.assign(old_keys.size() * 2, kEmpty);
-    sums_.assign(old_sums.size() * 2, 0.0);
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmpty) continue;
-      std::size_t j = slot(old_keys[i]);
-      while (keys_[j] != kEmpty) j = (j + 1) & (keys_.size() - 1);
-      keys_[j] = old_keys[i];
-      sums_[j] = old_sums[i];
+// The fold proper, one kernel for every index width. Each configuration's
+// probability is the product of its edge factors (alive ? 1 - p : p) in
+// ascending edge order, starting from 1.0 — the definitional sequence,
+// reached with almost no per-configuration work:
+//   * a prefix table over the low L = min(m, 10) edges, built level by
+//     level, holds the products over edges 0..L-1 of every low pattern;
+//   * rank r = B * 2^L + l has gray_code(r) = (gray_code(B) << L) ^
+//     gray_code(l) ^ ((B & 1) << (L - 1)), so two rank-ordered copies of
+//     the table (one per parity of the block index B) give the low
+//     products of a whole block with unit stride;
+//   * the high edges' factors are constant over a block and multiply in,
+//     in ascending edge order, as flat vectorizable passes.
+// Buckets and the Neumaier total then accumulate in rank order, so the
+// result is bitwise fixed by the masks and the probabilities alone.
+template <typename I>
+MaskDistribution fold_ranks(int m, std::span<const double> probs,
+                            const std::vector<Mask>& palette,
+                            const std::vector<I>& index) {
+  const int low = std::min(m, kPrefixEdges);
+  const std::size_t block = std::size_t{1} << low;
+  std::vector<double> prefix(block);
+  prefix[0] = 1.0;
+  for (int j = 0; j < low; ++j) {
+    const double p = probs[static_cast<std::size_t>(j)];
+    const std::size_t half = std::size_t{1} << j;
+    for (std::size_t x = 0; x < half; ++x) {
+      prefix[x | half] = prefix[x] * (1.0 - p);
+      prefix[x] *= p;
     }
   }
+  std::vector<double> rank_prefix(2 * block);  // parity 0, then parity 1
+  const Mask seam = low > 0 ? bit(low - 1) : 0;
+  for (std::size_t l = 0; l < block; ++l) {
+    const Mask g = gray_code(l);
+    rank_prefix[l] = prefix[static_cast<std::size_t>(g)];
+    rank_prefix[block + l] = prefix[static_cast<std::size_t>(g ^ seam)];
+  }
 
-  std::vector<Mask> keys_;
-  std::vector<double> sums_;
-  std::size_t size_ = 0;
-};
-
-// Shared slab fold: walk the ranks in 64-lane slabs, compute all 64
-// configuration probabilities at once with the vectorized lane-product
-// kernel (direct per-lane products in ascending edge order — no ratio
-// chain, so no drift, no resync, and zero failure probabilities need no
-// special casing), and accumulate bucket (mask -> probability) in rank
-// order. The insertion order and the Kahan total are fixed by the rank
-// walk, so every overload — config-indexed or slab-form — produces a
-// bitwise identical distribution.
-template <typename MaskAt>
-MaskDistribution fold_ranks(int m, Mask n, std::span<const double> probs,
-                            MaskAt&& mask_at) {
-  BitSlabs slabs(m);
-  std::array<double, 64> lane_p{};
-  FlatBucketTable buckets;
+  std::vector<double> sums(palette.size(), 0.0);
   KahanSum total;
-  for (Mask base = 0; base < n; base += 64) {
-    const int lanes = static_cast<int>(std::min<Mask>(64, n - base));
-    slabs.fill(base);
-    lane_config_products(slabs.words(), probs, lanes, lane_p.data());
-    for (int L = 0; L < lanes; ++L) {
-      const double p = lane_p[static_cast<std::size_t>(L)];
-      buckets.add(mask_at(base + static_cast<Mask>(L)), p);
-      total.add(p);
+  std::vector<double> lane(block);
+  for (std::size_t base = 0; base < index.size(); base += block) {
+    const Mask b = base >> low;
+    const Mask high = gray_code(b);
+    const double* low_products = rank_prefix.data() + (b & 1) * block;
+    std::copy(low_products, low_products + block, lane.begin());
+    // Four factors per pass; padding with 1.0 leaves every bit as is.
+    for (int e = low; e < m; e += 4) {
+      std::array<double, 4> f{1.0, 1.0, 1.0, 1.0};
+      for (int k = 0; k < 4 && e + k < m; ++k) {
+        const double p = probs[static_cast<std::size_t>(e + k)];
+        f[static_cast<std::size_t>(k)] =
+            test_bit(high, e + k - low) ? 1.0 - p : p;
+      }
+      for (double& x : lane) x = x * f[0] * f[1] * f[2] * f[3];
+    }
+    const I* slots = index.data() + base;
+    for (std::size_t l = 0; l < block; ++l) {
+      sums[slots[l]] += lane[l];
+      total.add(lane[l]);
     }
   }
+
   MaskDistribution dist;
-  dist.buckets = buckets.entries();
+  dist.buckets.reserve(palette.size());
+  for (std::size_t s = 0; s < palette.size(); ++s) {
+    dist.buckets.emplace_back(palette[s], sums[s]);
+  }
   std::sort(dist.buckets.begin(), dist.buckets.end());
   dist.total = total.value();
   return dist;
 }
 
 }  // namespace
-
-MaskDistribution bucket_side_array(const SideProblem& side,
-                                   const std::vector<Mask>& array) {
-  return bucket_side_array(side, array, side.view.failure_probs());
-}
-
-MaskDistribution bucket_side_array(const SideProblem& side,
-                                   const std::vector<Mask>& array,
-                                   std::span<const double> probs) {
-  const int m = side.view.num_edges();
-  if (probs.size() != static_cast<std::size_t>(m)) {
-    throw std::invalid_argument("one failure probability per side link");
-  }
-  return fold_ranks(m, static_cast<Mask>(array.size()), probs,
-                    [&array](Mask rank) {
-                      return array[static_cast<std::size_t>(gray_code(rank))];
-                    });
-}
 
 MaskDistribution bucket_side_array(const SideProblem& side,
                                    const SlabMaskTable& table) {
@@ -1279,10 +1236,14 @@ MaskDistribution bucket_side_array(const SideProblem& side,
   if (probs.size() != static_cast<std::size_t>(m)) {
     throw std::invalid_argument("one failure probability per side link");
   }
-  return fold_ranks(
-      m, static_cast<Mask>(table.by_rank.size()), probs, [&table](Mask rank) {
-        return table.by_rank[static_cast<std::size_t>(rank)];
-      });
+  if (table.size() != (std::size_t{1} << m)) {
+    throw std::invalid_argument("side array size is not 2^|side links|");
+  }
+  return std::visit(
+      [&](const auto& index) {
+        return fold_ranks(m, probs, table.palette, index);
+      },
+      table.index);
 }
 
 }  // namespace streamrel

@@ -53,9 +53,17 @@ class Parser {
 
   JsonValue parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // A throw abandons the whole parse, so depth_ needs no unwinding.
+      if (++depth_ > kMaxJsonDepth) {
+        fail(pos_, "nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      JsonValue nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
+    switch (c) {
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -181,6 +189,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 [[noreturn]] void kind_mismatch(const char* wanted) {

@@ -5,16 +5,6 @@
 
 namespace streamrel {
 
-void KahanSum::add(double x) noexcept {
-  const double t = sum_ + x;
-  if (std::abs(sum_) >= std::abs(x)) {
-    compensation_ += (sum_ - t) + x;
-  } else {
-    compensation_ += (x - t) + sum_;
-  }
-  sum_ = t;
-}
-
 void KahanSum::merge(const KahanSum& other) noexcept {
   add(other.sum_);
   add(other.compensation_);

@@ -5,20 +5,22 @@
 // (word-wide lanes + scalar residue == configurations x |D|), and a
 // strictly smaller solver bill than scratch on non-trivial arrays.
 // Also covers the BitSlabs primitives: the Gray-slab fill identity,
-// gray_rank, slab/config form roundtrips, and the dispatched lane
-// product kernel against its portable reference.
+// gray_rank, slab/config form roundtrips, and pins the fold bitwise to
+// its definition across index widths and probability extremes.
 
 #include "streamrel/core/bit_slabs.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "streamrel/core/side_array.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/util/prng.hpp"
+#include "streamrel/util/stats.hpp"
 
 namespace streamrel {
 namespace {
@@ -88,25 +90,99 @@ TEST(SlabMaskTable, RoundTripsWithTheConfigIndexedForm) {
   EXPECT_THROW(slab_form(array, links + 1), std::invalid_argument);
 }
 
-TEST(LaneProducts, DispatchedKernelIsBitwiseEqualToPortable) {
-  Xoshiro256 rng(424242);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int edges = 1 + static_cast<int>(rng.uniform_below(20));
-    const int lanes = 1 + static_cast<int>(rng.uniform_below(64));
-    std::vector<std::uint64_t> words(static_cast<std::size_t>(edges));
-    std::vector<double> probs(static_cast<std::size_t>(edges));
-    for (auto& w : words) w = rng();
-    for (auto& p : probs) p = rng.uniform01();
-
-    std::array<double, 64> dispatched{};
-    std::array<double, 64> portable{};
-    lane_config_products(words, probs, lanes, dispatched.data());
-    lane_config_products_portable(words, probs, lanes, portable.data());
-    EXPECT_EQ(0, std::memcmp(dispatched.data(), portable.data(),
-                             static_cast<std::size_t>(lanes) *
-                                 sizeof(double)))
-        << "trial " << trial << " edges " << edges << " lanes " << lanes;
+// The fold's definition, written out: each configuration's probability
+// is the product of its edge factors (alive ? 1 - p : p) in ascending
+// edge order from 1.0; per-bucket += and a KahanSum total, both in Gray
+// rank order; buckets sorted by mask.
+MaskDistribution reference_fold(const std::vector<Mask>& array, int m,
+                                const std::vector<double>& probs) {
+  std::map<Mask, double> sums;
+  KahanSum total;
+  for (Mask rank = 0; rank < static_cast<Mask>(array.size()); ++rank) {
+    const Mask config = gray_code(rank);
+    double p = 1.0;
+    for (int e = 0; e < m; ++e) {
+      const double q = probs[static_cast<std::size_t>(e)];
+      p *= test_bit(config, e) ? 1.0 - q : q;
+    }
+    sums[array[static_cast<std::size_t>(config)]] += p;
+    total.add(p);
   }
+  MaskDistribution dist;
+  dist.buckets.assign(sums.begin(), sums.end());
+  dist.total = total.value();
+  return dist;
+}
+
+void expect_bitwise_fold(const std::vector<Mask>& array, int m,
+                         const std::vector<double>& probs,
+                         const std::string& what) {
+  FlowNetwork net(2);
+  for (int e = 0; e < m; ++e) net.add_undirected_edge(0, 1, 1, 0.5);
+  SideProblem side;
+  side.view = NetworkView(CompiledNetwork::compile(net));
+  const MaskDistribution got =
+      bucket_side_array(side, slab_form(array, m), probs);
+  const MaskDistribution want = reference_fold(array, m, probs);
+  ASSERT_EQ(got.buckets.size(), want.buckets.size()) << what;
+  for (std::size_t i = 0; i < want.buckets.size(); ++i) {
+    EXPECT_EQ(got.buckets[i].first, want.buckets[i].first) << what;
+    EXPECT_EQ(0, std::memcmp(&got.buckets[i].second, &want.buckets[i].second,
+                             sizeof(double)))
+        << what << " bucket " << i;
+  }
+  EXPECT_EQ(0, std::memcmp(&got.total, &want.total, sizeof(double))) << what;
+}
+
+TEST(FoldPin, BitwiseEqualToTheDefinitionalFold) {
+  Xoshiro256 rng(424242);
+  for (const int m : {0, 1, 5, 6, 7, 10, 11, 16, 18}) {
+    const std::size_t n = std::size_t{1} << m;
+    std::vector<std::vector<double>> prob_sets;
+    for (const double p : {0.0, 0.5, 0.999}) {
+      prob_sets.emplace_back(static_cast<std::size_t>(m), p);
+    }
+    std::vector<double> mixed(static_cast<std::size_t>(m));
+    for (std::size_t e = 0; e < mixed.size(); ++e) {
+      const double choices[] = {0.0, 0.5, 0.999, rng.uniform01()};
+      mixed[e] = choices[e % 4];
+    }
+    prob_sets.push_back(mixed);
+
+    for (const std::size_t palette :
+         {std::size_t{1}, std::size_t{256}, std::size_t{257}}) {
+      // Distinct masks (an odd multiplier is a bijection mod 2^62); the
+      // first ranks see every palette entry, so the table holds exactly
+      // min(palette, 2^m) of them.
+      std::vector<Mask> array(n);
+      for (std::size_t c = 0; c < n; ++c) {
+        const Mask slot = c < palette ? c : rng.uniform_below(palette);
+        array[static_cast<std::size_t>(gray_code(c))] =
+            (slot * 0x9e3779b97f4a7c15ULL) & ((Mask{1} << 62) - 1);
+      }
+      const SlabMaskTable table = slab_form(array, m);
+      ASSERT_EQ(table.palette.size(), std::min(palette, n));
+      EXPECT_EQ(table.index.index(), table.palette.size() > 256 ? 1u : 0u);
+      for (std::size_t k = 0; k < prob_sets.size(); ++k) {
+        expect_bitwise_fold(array, m, prob_sets[k],
+                            "m=" + std::to_string(m) + " palette=" +
+                                std::to_string(palette) + " probs#" +
+                                std::to_string(k));
+      }
+    }
+  }
+
+  // A palette above 65,536 masks needs the four-byte index.
+  const int m = 17;
+  std::vector<Mask> array(std::size_t{1} << m);
+  for (Mask& mask : array) mask = rng() >> 1;
+  const SlabMaskTable table = slab_form(array, m);
+  ASSERT_GT(table.palette.size(), 65536u);
+  EXPECT_EQ(table.index.index(), 2u);
+  EXPECT_EQ(config_form(table), array);
+  std::vector<double> probs(static_cast<std::size_t>(m));
+  for (double& p : probs) p = rng.uniform01();
+  expect_bitwise_fold(array, m, probs, "m=17 random masks");
 }
 
 SideArrayOptions sweep_options(SideSweepStrategy sweep,
@@ -196,16 +272,12 @@ TEST(BitParallelSweep, MatchesScratchOn200SeededGraphs) {
         if (scratch.size() >= 64) ++nontrivial;
 
         // The fold is a pure function of (array, probabilities): every
-        // strategy and both resting forms produce bitwise identical
-        // distributions.
-        const MaskDistribution dist = bucket_side_array(side, scratch);
-        expect_same_distribution(dist, bucket_side_array(side, bit_parallel),
-                                 "fold(bit_parallel)");
+        // strategy produces a bitwise identical distribution.
+        const int m = side.view.num_edges();
         expect_same_distribution(
-            dist,
-            bucket_side_array(side,
-                              slab_form(scratch, side.view.num_edges())),
-            "fold(slab form)");
+            bucket_side_array(side, slab_form(scratch, m)),
+            bucket_side_array(side, slab_form(bit_parallel, m)),
+            "fold(bit_parallel)");
       }
     }
   }
@@ -281,8 +353,7 @@ TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
     // Same sweep underneath: the counters agree exactly.
     EXPECT_TRUE(
         vec_stats.telemetry.counters_equal(slab_stats.telemetry));
-    expect_same_distribution(bucket_side_array(side, array),
-                             bucket_side_array(side, table), "slab builder");
+    EXPECT_EQ(slab_form(array, side.view.num_edges()), table);
   }
 }
 

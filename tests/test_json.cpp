@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace streamrel {
 namespace {
@@ -65,6 +66,16 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("12 34"), std::invalid_argument);
   EXPECT_THROW(parse_json("tru"), std::invalid_argument);
   EXPECT_THROW(parse_json("1.2.3"), std::invalid_argument);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), std::invalid_argument);
+  EXPECT_THROW(parse_json(std::string(1'000'000, '{')), std::invalid_argument);
 }
 
 TEST(Json, KindMismatchThrows) {

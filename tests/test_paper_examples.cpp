@@ -272,10 +272,10 @@ TEST(PaperExamples, Equations2And3BottleneckSum) {
       enumerate_assignments(g.net, partition, 2, {});
   const SideProblem ss = make_side_problem(g.net, demand, partition, true);
   const SideProblem st = make_side_problem(g.net, demand, partition, false);
-  const MaskDistribution ds =
-      bucket_side_array(ss, build_side_array(ss, assignments, 2));
-  const MaskDistribution dt =
-      bucket_side_array(st, build_side_array(st, assignments, 2));
+  const MaskDistribution ds = bucket_side_array(
+      ss, slab_form(build_side_array(ss, assignments, 2), ss.view.num_edges()));
+  const MaskDistribution dt = bucket_side_array(
+      st, slab_form(build_side_array(st, assignments, 2), st.view.num_edges()));
 
   double by_hand = 0.0;
   for (Mask alive = 0; alive < 4; ++alive) {

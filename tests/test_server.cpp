@@ -21,6 +21,7 @@
 
 #include "streamrel/api/wire.hpp"
 #include "streamrel/core/batch_evaluator.hpp"
+#include "streamrel/core/bottleneck_algorithm.hpp"
 #include "streamrel/core/query_session.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/graph/io.hpp"
@@ -242,6 +243,65 @@ TEST(Server, StreamSurvivesMalformedLines) {
   EXPECT_EQ(docs[2].find("id")->as_number(), 2.0);
   EXPECT_TRUE(docs[3].find("ok")->as_bool());
   EXPECT_TRUE(docs[4].find("ok")->as_bool());
+}
+
+TEST(Server, DeeplyNestedLineGetsOneParseErrorAndServiceKeepsServing) {
+  // One line of a million '[' used to overflow the recursive parser's
+  // stack and kill the daemon with SIGSEGV.
+  const GeneratedNetwork g = test_instance();
+  ReliabilityService service;
+  ASSERT_TRUE(service.execute(register_request(g)).ok);
+
+  std::vector<WireResponse> replies;
+  service.handle_line(std::string(1'000'000, '['),
+                      [&](WireResponse resp) { replies.push_back(resp); });
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_EQ(replies[0].error_code, "parse_error");
+
+  replies.clear();
+  service.handle_line(R"({"v": 1, "id": 2, "verb": "solve"})",
+                      [&](WireResponse resp) { replies.push_back(resp); });
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(replies[0].ok);
+}
+
+TEST(Server, MaskBytesGaugeCountsIndexColumnsAndPalettes) {
+  // Two 16-link clusters (a 9-node tree plus 8 extra links each).
+  Xoshiro256 rng(7);
+  ClusteredParams params;
+  params.nodes_s = params.nodes_t = 9;
+  params.extra_edges_s = params.extra_edges_t = 8;
+  params.bottleneck_caps = {2, 3};
+  const GeneratedNetwork g = clustered_bottleneck(rng, params);
+  const FlowDemand demand{g.source, g.sink, 2};
+
+  QuerySession session(g.net);
+  const SolveReport report = session.solve(demand);
+  ASSERT_TRUE(report.partition.has_value());
+  ASSERT_EQ(session.cached_mask_tables(), 1u);
+  const BottleneckArtifacts artifacts =
+      build_bottleneck_artifacts(g.net, demand, report.partition->partition);
+  std::size_t expected = 0;
+  for (const SlabMaskTable* table : {&artifacts.array_s, &artifacts.array_t}) {
+    ASSERT_EQ(table->num_links, 16);
+    ASSERT_LE(table->palette.size(), 256u);
+    EXPECT_EQ(table->index.index(), 0u);  // one byte per rank
+    expected += 65'536 + sizeof(Mask) * table->palette.size();
+  }
+  EXPECT_EQ(session.cached_mask_bytes(), expected);
+
+  ReliabilityService service;
+  ASSERT_TRUE(service.execute(register_request(g)).ok);
+  WireRequest solve;
+  solve.verb = WireVerb::kSolve;
+  ASSERT_TRUE(service.execute(solve).ok);
+  const JsonValue stats = parse_json(service.stats_json());
+  EXPECT_EQ(stats.find("tenants")
+                ->find("default/default")
+                ->find("mask_bytes")
+                ->as_number(),
+            static_cast<double>(expected));
 }
 
 TEST(Server, SaturatedSchedulerShedsWithBoundsAttached) {

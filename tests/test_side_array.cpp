@@ -146,7 +146,8 @@ TEST(BucketDistribution, SumsToOneAndMatchesArray) {
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
   const std::vector<Mask> array =
       build_side_array(side, fx.assignments, fx.demand.rate);
-  const MaskDistribution dist = bucket_side_array(side, array);
+  const MaskDistribution dist =
+      bucket_side_array(side, slab_form(array, side.view.num_edges()));
   EXPECT_NEAR(dist.total, 1.0, 1e-12);
   double sum = 0.0;
   for (const auto& [mask, p] : dist.buckets) {

@@ -211,7 +211,8 @@ TEST(BucketDistributionStreamed, MatchesDirectFold) {
         make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
     const std::vector<Mask> array = build_side_array(side, assignments, 2);
 
-    const MaskDistribution dist = bucket_side_array(side, array);
+    const MaskDistribution dist =
+      bucket_side_array(side, slab_form(array, side.view.num_edges()));
     // Reference fold: direct per-configuration products, numeric order.
     const std::vector<double> probs = side.view.failure_probs();
     std::unordered_map<Mask, double> reference;
@@ -245,7 +246,8 @@ TEST(BucketDistributionStreamed, HandlesZeroFailureProbabilities) {
   ASSERT_GT(assignments.size(), 0);
   const SideProblem side = make_side_problem(net, demand, partition, true);
   const std::vector<Mask> array = build_side_array(side, assignments, 1);
-  const MaskDistribution dist = bucket_side_array(side, array);
+  const MaskDistribution dist =
+      bucket_side_array(side, slab_form(array, side.view.num_edges()));
   EXPECT_NEAR(dist.total, 1.0, 1e-12);
   for (const auto& [mask, p] : dist.buckets) EXPECT_GE(p, 0.0);
 }
