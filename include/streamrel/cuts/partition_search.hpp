@@ -3,8 +3,9 @@
 //
 // The paper assumes the bottleneck link set is given. For a usable
 // library we also search for one: candidates come from bridges, the
-// minimum-cardinality s-t cut, and (on mask-sized graphs) exhaustive
-// minimal-cut-set enumeration; the winner minimizes the decomposition
+// minimum-cardinality s-t cut, and (on mask-sized graphs) every minimal
+// cut set of at most max_k links, listed by the branching search in
+// cut_enumeration.hpp; the winner minimizes the decomposition
 // cost, which is dominated by 2^max(|E_s|, |E_t|) and secondarily by the
 // assignment count governed by k.
 
@@ -31,8 +32,8 @@ struct PartitionChoice {
 
 /// Best partition found, or std::nullopt when none satisfies the limits
 /// (e.g. the graph has no small balanced cut). With a context, the cut
-/// enumeration polls for deadline/cancellation between candidates and
-/// raises ExecInterrupted on a stop.
+/// enumeration polls for deadline/cancellation inside its search and
+/// between candidates, and raises ExecInterrupted on a stop.
 std::optional<PartitionChoice> find_best_partition(
     const FlowNetwork& net, NodeId s, NodeId t,
     const PartitionSearchOptions& options = {},

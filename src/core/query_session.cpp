@@ -16,8 +16,8 @@ bool same_search_options(const PartitionSearchOptions& a,
                          const PartitionSearchOptions& b) {
   return a.max_k == b.max_k && a.max_side_edges == b.max_side_edges &&
          a.enumeration.max_size == b.enumeration.max_size &&
-         a.enumeration.max_subsets_examined ==
-             b.enumeration.max_subsets_examined &&
+         a.enumeration.max_branch_nodes ==
+             b.enumeration.max_branch_nodes &&
          a.enumeration.max_results == b.enumeration.max_results;
 }
 

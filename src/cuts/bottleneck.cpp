@@ -51,33 +51,25 @@ std::optional<BottleneckPartition> partition_from_cut_edges(
   if (!net.valid_node(s) || !net.valid_node(t) || s == t) {
     throw std::invalid_argument("bad demand endpoints");
   }
-  if (!removal_disconnects(net, s, t, cut_edges)) return std::nullopt;
-
   // Components of G - cut (direction-insensitive so the side sets are
-  // well-defined for mixed graphs too).
-  std::vector<bool> gone(static_cast<std::size_t>(net.num_edges()), false);
-  for (EdgeId id : cut_edges) gone[static_cast<std::size_t>(id)] = true;
-  FlowNetwork reduced(net.num_nodes());
-  for (EdgeId id = 0; id < net.num_edges(); ++id) {
-    if (gone[static_cast<std::size_t>(id)]) continue;
-    const Edge& e = net.edge(id);
-    reduced.add_edge(e.u, e.v, e.capacity, e.failure_prob, e.kind);
-  }
-  const Components comps = connected_components(reduced);
+  // well-defined for mixed graphs too). Separate components imply the
+  // removal disconnects s from t. One shared component means either no
+  // disconnection or a directed-only one (s cannot reach t but both lie in
+  // one undirected component); no node bipartition reproduces the latter.
+  const std::vector<bool> gone = removed_edge_flags(net, cut_edges);
+  const Components comps = connected_components_without(net, gone);
   const int comp_s = comps.id[static_cast<std::size_t>(s)];
   const int comp_t = comps.id[static_cast<std::size_t>(t)];
-  if (comp_s == comp_t) return std::nullopt;  // directed-only separation:
-  // s cannot reach t but they share an undirected component; no node
-  // bipartition reproduces this cut, so report failure.
+  if (comp_s == comp_t) return std::nullopt;
 
   // Count internal links per component to drive the balance heuristic.
   std::vector<int> comp_edges(static_cast<std::size_t>(comps.count), 0);
-  for (EdgeId id = 0; id < reduced.num_edges(); ++id) {
+  for (EdgeId id = 0; id < net.num_edges(); ++id) {
+    if (gone[static_cast<std::size_t>(id)]) continue;
     comp_edges[static_cast<std::size_t>(
-        comps.id[static_cast<std::size_t>(reduced.edge(id).u)])]++;
+        comps.id[static_cast<std::size_t>(net.edge(id).u)])]++;
   }
 
-  std::vector<bool> side(static_cast<std::size_t>(net.num_nodes()), false);
   int load_s = comp_edges[static_cast<std::size_t>(comp_s)];
   int load_t = comp_edges[static_cast<std::size_t>(comp_t)];
   std::vector<int> comp_side(static_cast<std::size_t>(comps.count), -1);
@@ -93,6 +85,7 @@ std::optional<BottleneckPartition> partition_from_cut_edges(
       load_t += comp_edges[static_cast<std::size_t>(c)];
     }
   }
+  std::vector<bool> side(static_cast<std::size_t>(net.num_nodes()), false);
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
     side[static_cast<std::size_t>(n)] =
         comp_side[static_cast<std::size_t>(
@@ -123,37 +116,40 @@ PartitionStats analyze_partition(const FlowNetwork& net, NodeId s, NodeId t,
                   static_cast<double>(net.num_edges());
   }
   stats.minimal = is_minimal_cutset(net, s, t, partition.crossing_edges);
-
   // "Exactly two components" in the paper's sense: each side is internally
   // connected (direction-insensitive).
-  std::vector<bool> gone(static_cast<std::size_t>(net.num_edges()), false);
-  for (EdgeId id : partition.crossing_edges) {
-    gone[static_cast<std::size_t>(id)] = true;
-  }
-  FlowNetwork reduced(net.num_nodes());
-  for (EdgeId id = 0; id < net.num_edges(); ++id) {
-    if (gone[static_cast<std::size_t>(id)]) continue;
-    const Edge& e = net.edge(id);
-    reduced.add_edge(e.u, e.v, e.capacity, e.failure_prob, e.kind);
-  }
-  stats.two_components = connected_components(reduced).count == 2;
+  stats.two_components =
+      connected_components_without(
+          net, removed_edge_flags(net, partition.crossing_edges))
+          .count == 2;
   return stats;
 }
 
 bool is_minimal_cutset(const FlowNetwork& net, NodeId s, NodeId t,
                        const std::vector<EdgeId>& cut) {
-  if (!removal_disconnects(net, s, t, cut)) return false;
-  // Dropping any single edge from the cut must reconnect s and t;
-  // for down-closed "disconnects" this is equivalent to full minimality.
-  for (std::size_t skip = 0; skip < cut.size(); ++skip) {
-    std::vector<EdgeId> sub;
-    sub.reserve(cut.size() - 1);
-    for (std::size_t i = 0; i < cut.size(); ++i) {
-      if (i != skip) sub.push_back(cut[i]);
-    }
-    if (removal_disconnects(net, s, t, sub)) return false;
+  if (!net.valid_node(s) || !net.valid_node(t)) {
+    throw std::invalid_argument("bad endpoints");
   }
-  return true;
+  const std::vector<bool> gone = removed_edge_flags(net, cut);
+  // A repeated id leaves the removal unchanged when one copy is dropped.
+  if (static_cast<std::size_t>(std::count(gone.begin(), gone.end(), true)) !=
+      cut.size()) {
+    return false;
+  }
+  const std::vector<bool> from_s = reachable_nodes_without(net, s, gone);
+  if (from_s[static_cast<std::size_t>(t)]) return false;
+  // Minimal iff restoring any one cut edge reconnects s and t: the edge
+  // leads from a node s reaches to a node that reaches t in G - cut.
+  const std::vector<bool> to_t =
+      reachable_nodes_without(net, t, gone, /*backward=*/true);
+  auto joins = [&](NodeId a, NodeId b) {
+    return from_s[static_cast<std::size_t>(a)] &&
+           to_t[static_cast<std::size_t>(b)];
+  };
+  return std::all_of(cut.begin(), cut.end(), [&](EdgeId id) {
+    const Edge& e = net.edge(id);
+    return joins(e.u, e.v) || (!e.directed() && joins(e.v, e.u));
+  });
 }
 
 }  // namespace streamrel

@@ -51,11 +51,12 @@ std::vector<PartitionChoice> find_candidate_partitions(
   const MinCut cardinality_cut = min_cardinality_cut(net, s, t);
   if (cardinality_cut.value > 0) consider(cardinality_cut.edges);
 
-  // Exhaustive minimal-cut-set enumeration (mask-sized networks only).
+  // Every minimal cut set of size <= max_k (mask-sized networks only).
   if (net.fits_mask()) {
     CutEnumerationOptions enum_opts = options.enumeration;
     enum_opts.max_size = std::min(enum_opts.max_size, options.max_k);
-    for (const auto& cut : enumerate_minimal_cutsets(net, s, t, enum_opts)) {
+    for (const auto& cut :
+         enumerate_minimal_cutsets(net, s, t, enum_opts, ctx)) {
       consider(cut);
     }
   }

@@ -7,11 +7,18 @@ namespace streamrel {
 
 namespace {
 
-// Shared BFS. `alive(id)` filters edges; `respect_direction` limits
-// directed-edge traversal to tail -> head.
+// How a BFS may traverse a directed edge; undirected edges go both ways.
+enum class Follow { kBothWays, kForward, kBackward };
+
+Follow follow(bool respect_direction) {
+  return respect_direction ? Follow::kForward : Follow::kBothWays;
+}
+
+// Shared BFS. `alive(id)` filters edges; `dir` limits directed-edge
+// traversal to tail -> head (kForward) or head -> tail (kBackward).
 template <typename AliveFn>
 std::vector<bool> bfs(const FlowNetwork& net, NodeId from, AliveFn alive,
-                      bool respect_direction) {
+                      Follow dir) {
   if (!net.valid_node(from)) throw std::invalid_argument("bad start node");
   std::vector<bool> seen(static_cast<std::size_t>(net.num_nodes()), false);
   std::vector<NodeId> queue;
@@ -23,7 +30,10 @@ std::vector<bool> bfs(const FlowNetwork& net, NodeId from, AliveFn alive,
     for (EdgeId id : net.incident_edges(n)) {
       if (!alive(id)) continue;
       const Edge& e = net.edge(id);
-      if (respect_direction && e.directed() && e.u != n) continue;
+      if (e.directed() && dir != Follow::kBothWays &&
+          (dir == Follow::kForward ? e.u : e.v) != n) {
+        continue;
+      }
       const NodeId next = e.other(n);
       if (!seen[static_cast<std::size_t>(next)]) {
         seen[static_cast<std::size_t>(next)] = true;
@@ -34,12 +44,16 @@ std::vector<bool> bfs(const FlowNetwork& net, NodeId from, AliveFn alive,
   return seen;
 }
 
+auto not_gone(const std::vector<bool>& gone) {
+  return [&gone](EdgeId id) { return !gone[static_cast<std::size_t>(id)]; };
+}
+
 }  // namespace
 
 std::vector<bool> reachable_nodes(const FlowNetwork& net, NodeId from,
                                   bool respect_direction) {
   return bfs(
-      net, from, [](EdgeId) { return true; }, respect_direction);
+      net, from, [](EdgeId) { return true; }, follow(respect_direction));
 }
 
 std::vector<bool> reachable_nodes_masked(const FlowNetwork& net, NodeId from,
@@ -49,7 +63,14 @@ std::vector<bool> reachable_nodes_masked(const FlowNetwork& net, NodeId from,
   }
   return bfs(
       net, from, [alive](EdgeId id) { return test_bit(alive, id); },
-      respect_direction);
+      follow(respect_direction));
+}
+
+std::vector<bool> reachable_nodes_without(const FlowNetwork& net, NodeId from,
+                                          const std::vector<bool>& gone,
+                                          bool backward) {
+  return bfs(net, from, not_gone(gone),
+             backward ? Follow::kBackward : Follow::kForward);
 }
 
 namespace {
@@ -94,20 +115,29 @@ Components connected_components_masked(const FlowNetwork& net, Mask alive) {
                          [alive](EdgeId id) { return test_bit(alive, id); });
 }
 
+Components connected_components_without(const FlowNetwork& net,
+                                        const std::vector<bool>& gone) {
+  return components_impl(net, not_gone(gone));
+}
+
+std::vector<bool> removed_edge_flags(const FlowNetwork& net,
+                                     const std::vector<EdgeId>& removed) {
+  std::vector<bool> gone(static_cast<std::size_t>(net.num_edges()), false);
+  for (EdgeId id : removed) {
+    if (!net.valid_edge(id)) throw std::invalid_argument("bad edge id");
+    gone[static_cast<std::size_t>(id)] = true;
+  }
+  return gone;
+}
+
 bool removal_disconnects(const FlowNetwork& net, NodeId s, NodeId t,
                          const std::vector<EdgeId>& removed,
                          bool respect_direction) {
   if (!net.valid_node(s) || !net.valid_node(t)) {
     throw std::invalid_argument("bad endpoints");
   }
-  std::vector<bool> gone(static_cast<std::size_t>(net.num_edges()), false);
-  for (EdgeId id : removed) {
-    if (!net.valid_edge(id)) throw std::invalid_argument("bad edge id");
-    gone[static_cast<std::size_t>(id)] = true;
-  }
-  const auto seen = bfs(
-      net, s, [&gone](EdgeId id) { return !gone[static_cast<std::size_t>(id)]; },
-      respect_direction);
+  const std::vector<bool> gone = removed_edge_flags(net, removed);
+  const auto seen = bfs(net, s, not_gone(gone), follow(respect_direction));
   return !seen[static_cast<std::size_t>(t)];
 }
 

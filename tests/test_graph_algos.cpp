@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace streamrel {
 namespace {
@@ -29,6 +30,26 @@ TEST(Reachability, MaskedEdgesBlockPaths) {
   EXPECT_FALSE(reachable_nodes_masked(net, 0, 0b00)[1]);
 }
 
+TEST(Reachability, WithoutFlaggedEdgesForwardAndBackward) {
+  FlowNetwork net(4);
+  net.add_directed_edge(0, 1, 1, 0.1);
+  net.add_undirected_edge(1, 2, 1, 0.1);
+  net.add_directed_edge(2, 3, 1, 0.1);
+  const std::vector<bool> none = removed_edge_flags(net, {});
+  EXPECT_EQ(reachable_nodes_without(net, 0, none),
+            (std::vector<bool>{true, true, true, true}));
+  EXPECT_EQ(reachable_nodes_without(net, 1, none),
+            (std::vector<bool>{false, true, true, true}));
+  EXPECT_EQ(reachable_nodes_without(net, 1, none, /*backward=*/true),
+            (std::vector<bool>{true, true, true, false}));
+  const std::vector<bool> pinch = removed_edge_flags(net, {1});
+  EXPECT_EQ(reachable_nodes_without(net, 0, pinch),
+            (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(reachable_nodes_without(net, 3, pinch, /*backward=*/true),
+            (std::vector<bool>{false, false, true, true}));
+  EXPECT_THROW(removed_edge_flags(net, {3}), std::invalid_argument);
+}
+
 TEST(Components, CountsAndLabels) {
   FlowNetwork net(5);
   net.add_undirected_edge(0, 1, 1, 0.1);
@@ -48,6 +69,23 @@ TEST(Components, MaskedVariant) {
   EXPECT_EQ(connected_components_masked(net, 0b11).count, 1);
   EXPECT_EQ(connected_components_masked(net, 0b01).count, 2);
   EXPECT_EQ(connected_components_masked(net, 0b00).count, 3);
+}
+
+TEST(Components, WithoutFlaggedEdgesNumbersByFirstDiscovery) {
+  FlowNetwork net(5);
+  net.add_undirected_edge(3, 4, 1, 0.1);
+  net.add_directed_edge(1, 0, 1, 0.1);  // direction ignored for components
+  net.add_undirected_edge(2, 4, 1, 0.1);
+  net.add_undirected_edge(0, 2, 1, 0.1);
+  const Components all =
+      connected_components_without(net, removed_edge_flags(net, {}));
+  EXPECT_EQ(all.count, 1);
+  const Components split =
+      connected_components_without(net, removed_edge_flags(net, {3}));
+  EXPECT_EQ(split.count, 2);
+  EXPECT_EQ(split.id, (std::vector<int>{0, 0, 1, 1, 1}));
+  const Components reference = connected_components(net);
+  EXPECT_EQ(all.id, reference.id);
 }
 
 TEST(RemovalDisconnects, DetectsSeparation) {

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <vector>
 
+#include "streamrel/cuts/cut_enumeration.hpp"
 #include "streamrel/graph/flow_network.hpp"
+#include "streamrel/graph/graph_algos.hpp"
 #include "streamrel/maxflow/maxflow.hpp"
+#include "streamrel/util/bitops.hpp"
 #include "streamrel/util/config_prob.hpp"
 
 namespace streamrel::testing {
@@ -29,6 +32,51 @@ inline double brute_force_reliability(const FlowNetwork& net,
     }
   }
   return sum;
+}
+
+/// Reference minimality test: `cut` disconnects s from t and no cut with
+/// one edge dropped does (one removal_disconnects BFS per edge).
+inline bool reference_is_minimal_cutset(const FlowNetwork& net, NodeId s,
+                                        NodeId t,
+                                        const std::vector<EdgeId>& cut) {
+  if (!removal_disconnects(net, s, t, cut)) return false;
+  for (std::size_t skip = 0; skip < cut.size(); ++skip) {
+    std::vector<EdgeId> sub;
+    for (std::size_t i = 0; i < cut.size(); ++i) {
+      if (i != skip) sub.push_back(cut[i]);
+    }
+    if (removal_disconnects(net, s, t, sub)) return false;
+  }
+  return true;
+}
+
+/// Exhaustive minimal-cut oracle for enumerate_minimal_cutsets: tests
+/// every edge subset of size lower..max_size for minimality, where
+/// lower is the min-cardinality cut value, in Gosper (colex) order, and
+/// stops once `max_subsets` subsets were examined or max_results cuts
+/// were found. Requires net.fits_mask().
+inline std::vector<std::vector<EdgeId>> exhaustive_minimal_cutsets(
+    const FlowNetwork& net, NodeId s, NodeId t,
+    const CutEnumerationOptions& options,
+    std::uint64_t max_subsets = 5'000'000) {
+  std::vector<std::vector<EdgeId>> out;
+  const auto lower = static_cast<int>(min_cardinality_cut(net, s, t).value);
+  if (lower == 0) return out;  // already disconnected: no cut is minimal
+  std::uint64_t examined = 0;
+  for (int k = lower; k <= options.max_size; ++k) {
+    for (CombinationRange combos(net.num_edges(), k); !combos.done();
+         combos.next()) {
+      if (++examined > max_subsets || out.size() >= options.max_results) {
+        return out;
+      }
+      const std::vector<int> ids = bits_of(combos.value());
+      std::vector<EdgeId> cut(ids.begin(), ids.end());
+      if (reference_is_minimal_cutset(net, s, t, cut)) {
+        out.push_back(std::move(cut));
+      }
+    }
+  }
+  return out;
 }
 
 /// s - m - t two-hop path with distinct probabilities.
