@@ -74,6 +74,11 @@ namespace streamrel {
 /// (independent of STREAMREL_API_VERSION, which tracks the C++ surface).
 inline constexpr int kWireSchemaVersion = 1;
 
+/// Longest request line either transport buffers. A longer line gets one
+/// parse_error and is never held whole: the stream transport skips to
+/// the next newline, the TCP transport closes the connection.
+inline constexpr std::size_t kMaxWireLineBytes = std::size_t{16} << 20;
+
 enum class WireVerb {
   kRegisterNetwork,  ///< bind a network (+ default demand) to tenant ids
   kSolve,            ///< one what-if query against a registered session

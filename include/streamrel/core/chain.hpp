@@ -23,7 +23,6 @@ namespace streamrel {
 
 struct ChainOptions {
   AssignmentOptions assignments{};
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
 };
 
 /// Exact reliability of a layered network. `layer[n]` gives node n's

@@ -24,7 +24,6 @@ struct HybridMonteCarloOptions {
   std::uint64_t samples_per_side = 20'000;
   std::uint64_t seed = 0xb0771e;
   AssignmentOptions assignments{};
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
   AccumulationStrategy accumulation = AccumulationStrategy::kAuto;
 };
 

@@ -100,10 +100,6 @@ enum class SideSweepStrategy {
 };
 
 struct SideArrayOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;  ///< scratch path;
-                                                          ///< Gray engines
-                                                          ///< always repair
-                                                          ///< with Dinic
   FeasibilityMethod feasibility = FeasibilityMethod::kAuto;
   bool parallel = true;  ///< OpenMP over Gray-aligned configuration shards
   SideSweepStrategy sweep = SideSweepStrategy::kAuto;
@@ -218,8 +214,7 @@ MaskDistribution bucket_side_array(const SideProblem& side,
 class SideMaskEvaluator {
  public:
   SideMaskEvaluator(const SideProblem& side, const AssignmentSet& assignments,
-                    Capacity demand_rate,
-                    MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic);
+                    Capacity demand_rate);
   ~SideMaskEvaluator();
   SideMaskEvaluator(SideMaskEvaluator&&) noexcept;
   SideMaskEvaluator& operator=(SideMaskEvaluator&&) = delete;

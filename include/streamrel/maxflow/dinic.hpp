@@ -1,17 +1,24 @@
 #pragma once
 // Dinic's algorithm: BFS level graph + blocking-flow DFS. O(V^2 E) in
-// general, and the workhorse here because the reliability sweeps solve
-// millions of tiny instances — scratch buffers are reused across calls.
+// general, and the library's one max-flow solver: the reliability sweeps
+// solve millions of tiny instances, so one instance keeps its scratch
+// buffers and is reused across calls.
 
-#include "streamrel/maxflow/maxflow.hpp"
+#include <vector>
+
+#include "streamrel/maxflow/residual_graph.hpp"
 
 namespace streamrel {
 
-class DinicSolver final : public MaxFlowSolver {
+inline constexpr Capacity kUnbounded = -1;
+
+class DinicSolver {
  public:
+  /// Computes a maximum s-t flow on `g` (mutating residual capacities),
+  /// stopping early once the flow value reaches `limit` (kUnbounded for a
+  /// true maximum). Returns the flow value achieved.
   Capacity solve(ResidualGraph& g, NodeId s, NodeId t,
-                 Capacity limit = kUnbounded) override;
-  std::string_view name() const noexcept override { return "dinic"; }
+                 Capacity limit = kUnbounded);
 
  private:
   bool build_levels(const ResidualGraph& g, NodeId s, NodeId t);

@@ -1,65 +1,28 @@
 #pragma once
-// Max-flow facade: algorithm selection, bounded (early-exit) flow, and
-// min-cut extraction. The reliability algorithms only ever need the
-// YES/NO question "does this configuration admit d sub-streams?", so all
-// solvers support a `limit` at which they stop augmenting.
+// Max-flow facade: bounded (early-exit) flow and min-cut extraction over
+// whole networks, all solved by DinicSolver. The reliability algorithms
+// only ever need the YES/NO question "does this configuration admit d
+// sub-streams?", so every entry point takes a `limit` at which the
+// solver stops augmenting.
 
-#include <memory>
-#include <string_view>
 #include <vector>
 
-#include "streamrel/maxflow/residual_graph.hpp"
+#include "streamrel/maxflow/dinic.hpp"
 
 namespace streamrel {
 
-inline constexpr Capacity kUnbounded = -1;
-
-/// Abstract solver. Implementations keep reusable scratch buffers, so one
-/// instance can cheaply solve many small problems of varying size.
-class MaxFlowSolver {
- public:
-  virtual ~MaxFlowSolver() = default;
-
-  /// Computes a maximum s-t flow on `g` (mutating residual capacities),
-  /// stopping early once the flow value reaches `limit` (kUnbounded for a
-  /// true maximum). Returns the flow value achieved.
-  virtual Capacity solve(ResidualGraph& g, NodeId s, NodeId t,
-                         Capacity limit = kUnbounded) = 0;
-
-  virtual std::string_view name() const noexcept = 0;
-};
-
-enum class MaxFlowAlgorithm {
-  kDinic,
-  kEdmondsKarp,
-  kPushRelabel,
-};
-
-/// All algorithms, for parameterized tests and benches.
-inline constexpr MaxFlowAlgorithm kAllMaxFlowAlgorithms[] = {
-    MaxFlowAlgorithm::kDinic,
-    MaxFlowAlgorithm::kEdmondsKarp,
-    MaxFlowAlgorithm::kPushRelabel,
-};
-
-std::unique_ptr<MaxFlowSolver> make_solver(MaxFlowAlgorithm algorithm);
-std::string_view algorithm_name(MaxFlowAlgorithm algorithm);
-
 /// Max-flow value on the full network.
 Capacity max_flow(const FlowNetwork& net, NodeId s, NodeId t,
-                  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic,
                   Capacity limit = kUnbounded);
 
 /// Max-flow value when only `alive` edges exist. Requires net.fits_mask().
 Capacity max_flow_masked(const FlowNetwork& net, Mask alive, NodeId s,
-                         NodeId t,
-                         MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic,
-                         Capacity limit = kUnbounded);
+                         NodeId t, Capacity limit = kUnbounded);
 
 /// True iff the configuration `alive` admits the demand (bounded flow,
 /// early exit at demand.rate).
-bool admits_demand(const FlowNetwork& net, Mask alive, const FlowDemand& demand,
-                   MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic);
+bool admits_demand(const FlowNetwork& net, Mask alive,
+                   const FlowDemand& demand);
 
 /// Minimum-capacity s-t cut of the full network: runs an exact max-flow,
 /// then returns the network edges crossing from the residual-reachable
@@ -70,8 +33,7 @@ struct MinCut {
   std::vector<EdgeId> edges;
   std::vector<bool> source_side;  ///< per node
 };
-MinCut min_cut(const FlowNetwork& net, NodeId s, NodeId t,
-               MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic);
+MinCut min_cut(const FlowNetwork& net, NodeId s, NodeId t);
 
 /// Minimum-CARDINALITY s-t cut: same, but every edge counts 1 (capacities
 /// ignored). This is the natural search for a small bottleneck link set.

@@ -27,7 +27,6 @@ struct BoundsOptions {
   int max_cut_size = 8;         ///< cuts bigger than this are skipped
   std::size_t max_cuts = 64;    ///< cap on the cut family size
   int max_routings = 16;        ///< cap on extracted disjoint routings
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
 };
 
 struct ReliabilityBounds {

@@ -20,7 +20,6 @@
 namespace streamrel {
 
 struct FactoringOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
   /// Safety valve for pathological instances: stop (result status
   /// kBudgetExhausted) after this many recursion-tree nodes.
   std::uint64_t max_tree_nodes = 500'000'000ULL;

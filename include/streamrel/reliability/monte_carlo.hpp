@@ -16,7 +16,6 @@ namespace streamrel {
 struct MonteCarloOptions {
   std::uint64_t samples = 100'000;
   std::uint64_t seed = 0x5eed;
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
 };
 
 struct MonteCarloResult {

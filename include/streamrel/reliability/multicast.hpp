@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "streamrel/graph/flow_network.hpp"
-#include "streamrel/maxflow/maxflow.hpp"
 #include "streamrel/reliability/monte_carlo.hpp"
 #include "streamrel/reliability/types.hpp"
 
@@ -25,16 +24,11 @@ struct MulticastDemand {
   Capacity rate = 1;
 };
 
-struct MulticastOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
-};
-
 /// Exact: exhaustive enumeration with one bounded max-flow per
 /// (configuration, subscriber), short-circuiting at the first subscriber
 /// a configuration fails. Requires net.fits_mask().
 ReliabilityResult multicast_reliability(const FlowNetwork& net,
-                                        const MulticastDemand& demand,
-                                        const MulticastOptions& options = {});
+                                        const MulticastDemand& demand);
 
 /// Monte Carlo variant for larger overlays.
 MonteCarloResult multicast_reliability_monte_carlo(
@@ -48,7 +42,6 @@ MonteCarloResult multicast_reliability_monte_carlo(
 /// anycast probability. Requires net.fits_mask().
 ReliabilityResult quorum_reliability(const FlowNetwork& net,
                                      const MulticastDemand& demand,
-                                     int quorum,
-                                     const MulticastOptions& options = {});
+                                     int quorum);
 
 }  // namespace streamrel

@@ -24,7 +24,6 @@ enum class NaiveStrategy {
 
 struct NaiveOptions {
   NaiveStrategy strategy = NaiveStrategy::kFromScratch;
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
 };
 
 /// Exact reliability by exhaustive enumeration. Requires net.fits_mask().

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "streamrel/graph/flow_network.hpp"
-#include "streamrel/maxflow/maxflow.hpp"
 
 namespace streamrel {
 
@@ -35,15 +34,10 @@ class ReliabilityPolynomial {
   std::vector<std::uint64_t> counts_;  ///< indexed by failure count j
 };
 
-struct PolynomialOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
-};
-
 /// Builds the polynomial by exhaustive enumeration (capacities and the
 /// demand matter; the per-edge failure probabilities in `net` are
 /// ignored). Requires net.fits_mask().
-ReliabilityPolynomial reliability_polynomial(
-    const FlowNetwork& net, const FlowDemand& demand,
-    const PolynomialOptions& options = {});
+ReliabilityPolynomial reliability_polynomial(const FlowNetwork& net,
+                                             const FlowDemand& demand);
 
 }  // namespace streamrel

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "streamrel/graph/flow_network.hpp"
-#include "streamrel/maxflow/maxflow.hpp"
 #include "streamrel/reliability/types.hpp"
 
 namespace streamrel {
@@ -25,15 +24,10 @@ struct ThroughputDistribution {
   std::vector<double> exactly() const;
 };
 
-struct ThroughputOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
-};
-
 /// Exact distribution by exhaustive enumeration (one bounded max-flow per
 /// configuration, recording the achieved value). Requires net.fits_mask().
 /// demand.rate is the full stream rate d.
-ThroughputDistribution throughput_distribution(
-    const FlowNetwork& net, const FlowDemand& demand,
-    const ThroughputOptions& options = {});
+ThroughputDistribution throughput_distribution(const FlowNetwork& net,
+                                               const FlowDemand& demand);
 
 }  // namespace streamrel

@@ -133,7 +133,13 @@ class ReliabilityService {
   /// even parse gets its parse error instead.
   WireResponse reject_overloaded(std::string_view line);
 
+  /// Builds the structured `parse_error` for a request line longer than
+  /// kMaxWireLineBytes, which the transports refuse without buffering
+  /// it whole; counted like any other line that does not parse.
+  WireResponse reject_oversized_line();
+
  private:
+  WireResponse reject_unparsed(const WireParseError& error);
   WireResponse execute_impl(const WireRequest& request,
                             const RequestHooks& hooks, bool force_expired,
                             double queue_us = -1.0);

@@ -38,10 +38,9 @@
 #include "streamrel/graph/io.hpp"                 // IWYU pragma: export
 #include "streamrel/graph/serialize.hpp"          // IWYU pragma: export
 #include "streamrel/graph/subgraph.hpp"           // IWYU pragma: export
-#include "streamrel/maxflow/edmonds_karp.hpp"     // IWYU pragma: export
+#include "streamrel/maxflow/dinic.hpp"            // IWYU pragma: export
 #include "streamrel/maxflow/incremental_dinic.hpp"// IWYU pragma: export
 #include "streamrel/maxflow/maxflow.hpp"          // IWYU pragma: export
-#include "streamrel/maxflow/push_relabel.hpp"     // IWYU pragma: export
 #include "streamrel/obs/flight_recorder.hpp"      // IWYU pragma: export
 #include "streamrel/obs/metrics.hpp"              // IWYU pragma: export
 #include "streamrel/obs/request_log.hpp"          // IWYU pragma: export

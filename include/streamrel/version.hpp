@@ -25,7 +25,13 @@
 /// gained state_dir/wal_compact_threshold/state_fsync and the stream
 /// transports a per-connection in-flight cap (StreamServeOptions /
 /// TcpServerOptions::max_inflight).
-#define STREAMREL_API_VERSION 6
+/// v7: one max-flow solver — DinicSolver is a plain class; the abstract
+/// solver base, the algorithm enum with its factory and name lookup, and
+/// the Edmonds–Karp and push–relabel solvers are gone, as are the
+/// `algorithm` option fields and parameters and the ThroughputOptions,
+/// PolynomialOptions and MulticastOptions structs. Wire lines longer
+/// than kMaxWireLineBytes (api/wire.hpp) get one parse_error.
+#define STREAMREL_API_VERSION 7
 
 namespace streamrel {
 

@@ -1,5 +1,6 @@
 #include "streamrel/core/bottleneck_algorithm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "streamrel/graph/graph_algos.hpp"
@@ -157,11 +158,24 @@ BottleneckResult accumulate_bottleneck(const BottleneckArtifacts& artifacts,
         bucket_side_array(artifacts.side_s, artifacts.array_s, probs.side_s);
     const MaskDistribution dist_t =
         bucket_side_array(artifacts.side_t, artifacts.array_t, probs.side_t);
+    const Mask bottleneck_total = Mask{1}
+                                  << static_cast<int>(probs.crossing.size());
+
+    // Sides that never realize a common assignment give R = 0 exactly,
+    // which the zeta accumulation's complement form reaches only up to
+    // rounding, of either sign. With every bottleneck link alive the
+    // supported set is largest, so one check covers every term.
+    Mask sink_union = 0;
+    for (const auto& bucket : dist_t.buckets) sink_union |= bucket.first;
+    const Mask common =
+        sink_union & artifacts.assignments.supported_by(bottleneck_total - 1);
+    const bool meets = std::any_of(
+        dist_s.buckets.begin(), dist_s.buckets.end(),
+        [common](const auto& bucket) { return (bucket.first & common) != 0; });
+    if (!meets) return result;
 
     // Accumulation over bottleneck-link configurations (Equations 2-3).
     const ConfigProbTable bottleneck_probs(probs.crossing);
-    const Mask bottleneck_total = Mask{1}
-                                  << static_cast<int>(probs.crossing.size());
     KahanSum total;
     for (Mask alive = 0; alive < bottleneck_total; ++alive) {
       // Each term costs an inclusion-exclusion pass, so poll every

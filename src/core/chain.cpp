@@ -35,8 +35,8 @@ struct BoundaryInfo {
 MaskDistribution build_middle_distribution(
     const NetworkView& view, const std::vector<NodeId>& left_endpoints,
     const std::vector<NodeId>& right_endpoints, const AssignmentSet& d_left,
-    const AssignmentSet& d_right, MaxFlowAlgorithm algorithm,
-    std::uint64_t* maxflow_calls, const ExecContext* ctx) {
+    const AssignmentSet& d_right, std::uint64_t* maxflow_calls,
+    const ExecContext* ctx) {
   const int pairs = d_left.size() * d_right.size();
   if (pairs > kMaxMaskBits) {
     throw std::invalid_argument(
@@ -59,7 +59,7 @@ MaskDistribution build_middle_distribution(
     residual.add_super_arc(super_source, ep, 0, 0);
     residual.add_super_arc(ep, super_sink, 0, 0);
   }
-  auto solver = make_solver(algorithm);
+  DinicSolver solver;
 
   const Mask total_configs = Mask{1} << view.num_edges();
   TraceSpan span("middle_layer_sweep", "sweep");
@@ -107,8 +107,8 @@ MaskDistribution build_middle_distribution(
         if (maxflow_calls) ++*maxflow_calls;
         ++calls;
         STREAMREL_TRACE_SAMPLED_SPAN(mf_span, calls, "maxflow", "maxflow");
-        if (solver->solve(residual.graph(), super_source, super_sink,
-                          required) >= required) {
+        if (solver.solve(residual.graph(), super_source, super_sink,
+                         required) >= required) {
           array[static_cast<std::size_t>(config)] |= bit(pair_bit);
         }
       }
@@ -254,8 +254,8 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     return eps;
   };
 
-  const SideArrayOptions side_opts{options.algorithm,
-                                   FeasibilityMethod::kPerAssignment, true};
+  SideArrayOptions side_opts;
+  side_opts.feasibility = FeasibilityMethod::kPerAssignment;
 
   SideArrayStats side_stats;  // aggregated over the two side builds
   std::uint64_t middle_calls = 0;
@@ -284,8 +284,7 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
         const auto right = endpoints_in_layer(boundaries[b + 1], l, view);
         const MaskDistribution middle = build_middle_distribution(
             view, left, right, boundaries[b].assignments,
-            boundaries[b + 1].assignments, options.algorithm, &middle_calls,
-            ctx);
+            boundaries[b + 1].assignments, &middle_calls, ctx);
         configurations += Mask{1} << view.num_edges();
         state = apply_middle(state, middle,
                              boundaries[b + 1].assignments.size());

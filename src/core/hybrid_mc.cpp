@@ -22,16 +22,15 @@ namespace {
 // distribution is still a proper empirical distribution.
 MaskDistribution sample_side_distribution(
     const SideProblem& side, const AssignmentSet& assignments, Capacity rate,
-    MaxFlowAlgorithm algorithm, std::uint64_t samples, Xoshiro256& rng,
-    std::uint64_t& maxflow_calls, const ExecContext* ctx,
-    std::uint64_t& drawn) {
+    std::uint64_t samples, Xoshiro256& rng, std::uint64_t& maxflow_calls,
+    const ExecContext* ctx, std::uint64_t& drawn) {
   TraceSpan span("sample_side", "sweep");
   span.arg("side", side.is_source_side ? "s" : "t")
       .arg("samples", samples);
   if (ProgressReporter* progress = exec_progress(ctx)) {
     progress->add_total(samples);
   }
-  SideMaskEvaluator evaluator(side, assignments, rate, algorithm);
+  SideMaskEvaluator evaluator(side, assignments, rate);
   const std::vector<double> probs = side.view.failure_probs();
   std::unordered_map<Mask, std::uint64_t> counts;
   ProgressMarker progress(exec_progress(ctx));
@@ -96,11 +95,11 @@ HybridMonteCarloResult reliability_bottleneck_hybrid(
   std::uint64_t drawn_s = 0;
   std::uint64_t drawn_t = 0;
   const MaskDistribution dist_s = sample_side_distribution(
-      side_s, assignments, demand.rate, options.algorithm,
-      options.samples_per_side, rng_s, maxflow_calls, ctx, drawn_s);
+      side_s, assignments, demand.rate, options.samples_per_side, rng_s,
+      maxflow_calls, ctx, drawn_s);
   const MaskDistribution dist_t = sample_side_distribution(
-      side_t, assignments, demand.rate, options.algorithm,
-      options.samples_per_side, rng_t, maxflow_calls, ctx, drawn_t);
+      side_t, assignments, demand.rate, options.samples_per_side, rng_t,
+      maxflow_calls, ctx, drawn_t);
   if (drawn_s < options.samples_per_side ||
       drawn_t < options.samples_per_side) {
     result.status = ctx ? ctx->stop_status() : SolveStatus::kCancelled;

@@ -245,10 +245,9 @@ std::vector<std::vector<Capacity>> subset_usage_sums(
 // Scratch sweeps — the paper's procedure, one reset + solve per query.
 
 struct SideEvaluator {
-  SideEvaluator(const SideProblem& side, MaxFlowAlgorithm algorithm)
+  explicit SideEvaluator(const SideProblem& side)
       : side_(&side),
         residual_(side.view),
-        solver_(make_solver(algorithm)),
         terminals_(add_side_super_arcs(residual_, side)) {}
 
   Capacity configure(const Assignment& a, Capacity d) {
@@ -261,22 +260,22 @@ struct SideEvaluator {
 
   Capacity solve(Mask config, Capacity limit) {
     residual_.reset(config);
-    return solver_->solve(residual_.graph(), terminals_.source,
-                          terminals_.sink, limit);
+    return solver_.solve(residual_.graph(), terminals_.source,
+                         terminals_.sink, limit);
   }
 
   const SideProblem* side_;
   ConfigResidual residual_;
-  std::unique_ptr<MaxFlowSolver> solver_;
+  DinicSolver solver_;
   SuperTerminals terminals_;
 };
 
 void sweep_per_assignment(const SideProblem& side,
                           const AssignmentSet& assignments, Capacity d,
-                          MaxFlowAlgorithm algorithm, Mask first, Mask last,
-                          std::vector<Mask>& array, SweepCounters& stats,
-                          const ExecContext* ctx, std::atomic<bool>& aborted) {
-  SideEvaluator eval(side, algorithm);
+                          Mask first, Mask last, std::vector<Mask>& array,
+                          SweepCounters& stats, const ExecContext* ctx,
+                          std::atomic<bool>& aborted) {
+  SideEvaluator eval(side);
   ProgressMarker progress(exec_progress(ctx));
   const std::uint64_t span = last - first + 1;
   const std::uint64_t passes = static_cast<std::uint64_t>(assignments.size());
@@ -307,15 +306,15 @@ void sweep_per_assignment(const SideProblem& side,
 
 void sweep_polymatroid(const SideProblem& side,
                        const AssignmentSet& assignments, Capacity d,
-                       MaxFlowAlgorithm algorithm, Mask first, Mask last,
-                       std::vector<Mask>& array, SweepCounters& stats,
-                       const ExecContext* ctx, std::atomic<bool>& aborted) {
+                       Mask first, Mask last, std::vector<Mask>& array,
+                       SweepCounters& stats, const ExecContext* ctx,
+                       std::atomic<bool>& aborted) {
   const int k = static_cast<int>(side.endpoints.size());
   const Mask subsets = Mask{1} << k;
   const std::vector<std::vector<Capacity>> subset_sums =
       subset_usage_sums(assignments, subsets);
 
-  SideEvaluator eval(side, algorithm);
+  SideEvaluator eval(side);
   ProgressMarker progress(exec_progress(ctx));
   std::vector<Capacity> f(static_cast<std::size_t>(subsets), 0);
   for (Mask config = first;; ++config) {
@@ -1003,12 +1002,11 @@ std::vector<Mask> build_side_array(const SideProblem& side,
         break;
       default:
         if (method == FeasibilityMethod::kPolymatroid) {
-          sweep_polymatroid(side, assignments, demand_rate, options.algorithm,
-                            first, last, array, s, ctx, aborted);
+          sweep_polymatroid(side, assignments, demand_rate, first, last,
+                            array, s, ctx, aborted);
         } else {
-          sweep_per_assignment(side, assignments, demand_rate,
-                               options.algorithm, first, last, array, s, ctx,
-                               aborted);
+          sweep_per_assignment(side, assignments, demand_rate, first, last,
+                               array, s, ctx, aborted);
         }
         break;
     }
@@ -1110,9 +1108,8 @@ SlabMaskTable build_side_array_slab(const SideProblem& side,
 }
 
 struct SideMaskEvaluator::Impl {
-  Impl(const SideProblem& side, const AssignmentSet& assignments, Capacity d,
-       MaxFlowAlgorithm algorithm)
-      : eval(side, algorithm), set(&assignments), rate(d) {}
+  Impl(const SideProblem& side, const AssignmentSet& assignments, Capacity d)
+      : eval(side), set(&assignments), rate(d) {}
 
   SideEvaluator eval;
   const AssignmentSet* set;
@@ -1121,10 +1118,8 @@ struct SideMaskEvaluator::Impl {
 
 SideMaskEvaluator::SideMaskEvaluator(const SideProblem& side,
                                      const AssignmentSet& assignments,
-                                     Capacity demand_rate,
-                                     MaxFlowAlgorithm algorithm)
-    : impl_(std::make_unique<Impl>(side, assignments, demand_rate,
-                                   algorithm)) {
+                                     Capacity demand_rate)
+    : impl_(std::make_unique<Impl>(side, assignments, demand_rate)) {
   if (!assignments.fits_mask()) {
     throw std::invalid_argument("assignment set too large for mask bits");
   }

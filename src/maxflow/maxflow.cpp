@@ -2,59 +2,30 @@
 
 #include <stdexcept>
 
-#include "streamrel/maxflow/dinic.hpp"
-#include "streamrel/maxflow/edmonds_karp.hpp"
-#include "streamrel/maxflow/push_relabel.hpp"
-
 namespace streamrel {
 
-std::unique_ptr<MaxFlowSolver> make_solver(MaxFlowAlgorithm algorithm) {
-  switch (algorithm) {
-    case MaxFlowAlgorithm::kDinic:
-      return std::make_unique<DinicSolver>();
-    case MaxFlowAlgorithm::kEdmondsKarp:
-      return std::make_unique<EdmondsKarpSolver>();
-    case MaxFlowAlgorithm::kPushRelabel:
-      return std::make_unique<PushRelabelSolver>();
-  }
-  throw std::invalid_argument("unknown max-flow algorithm");
-}
-
-std::string_view algorithm_name(MaxFlowAlgorithm algorithm) {
-  switch (algorithm) {
-    case MaxFlowAlgorithm::kDinic:
-      return "dinic";
-    case MaxFlowAlgorithm::kEdmondsKarp:
-      return "edmonds-karp";
-    case MaxFlowAlgorithm::kPushRelabel:
-      return "push-relabel";
-  }
-  return "unknown";
-}
-
 Capacity max_flow(const FlowNetwork& net, NodeId s, NodeId t,
-                  MaxFlowAlgorithm algorithm, Capacity limit) {
+                  Capacity limit) {
   if (!net.valid_node(s) || !net.valid_node(t) || s == t) {
     throw std::invalid_argument("bad max-flow endpoints");
   }
   ResidualGraph g = ResidualGraph::from_network_all(net);
-  return make_solver(algorithm)->solve(g, s, t, limit);
+  return DinicSolver().solve(g, s, t, limit);
 }
 
 Capacity max_flow_masked(const FlowNetwork& net, Mask alive, NodeId s,
-                         NodeId t, MaxFlowAlgorithm algorithm,
-                         Capacity limit) {
+                         NodeId t, Capacity limit) {
   if (!net.valid_node(s) || !net.valid_node(t) || s == t) {
     throw std::invalid_argument("bad max-flow endpoints");
   }
   ResidualGraph g = ResidualGraph::from_network(net, alive);
-  return make_solver(algorithm)->solve(g, s, t, limit);
+  return DinicSolver().solve(g, s, t, limit);
 }
 
-bool admits_demand(const FlowNetwork& net, Mask alive, const FlowDemand& demand,
-                   MaxFlowAlgorithm algorithm) {
+bool admits_demand(const FlowNetwork& net, Mask alive,
+                   const FlowDemand& demand) {
   net.check_demand(demand);
-  return max_flow_masked(net, alive, demand.source, demand.sink, algorithm,
+  return max_flow_masked(net, alive, demand.source, demand.sink,
                          demand.rate) >= demand.rate;
 }
 
@@ -81,13 +52,12 @@ MinCut extract_cut(const FlowNetwork& net, const ResidualGraph& g, NodeId s,
 
 }  // namespace
 
-MinCut min_cut(const FlowNetwork& net, NodeId s, NodeId t,
-               MaxFlowAlgorithm algorithm) {
+MinCut min_cut(const FlowNetwork& net, NodeId s, NodeId t) {
   if (!net.valid_node(s) || !net.valid_node(t) || s == t) {
     throw std::invalid_argument("bad min-cut endpoints");
   }
   ResidualGraph g = ResidualGraph::from_network_all(net);
-  const Capacity value = make_solver(algorithm)->solve(g, s, t);
+  const Capacity value = DinicSolver().solve(g, s, t);
   return extract_cut(net, g, s, value);
 }
 
@@ -102,8 +72,7 @@ MinCut min_cardinality_cut(const FlowNetwork& net, NodeId s, NodeId t) {
     const Edge& e = net.edge(id);
     g.add_arc_pair(e.u, e.v, 1, e.directed() ? 0 : 1, id);
   }
-  DinicSolver solver;
-  const Capacity value = solver.solve(g, s, t);
+  const Capacity value = DinicSolver().solve(g, s, t);
   return extract_cut(net, g, s, value);
 }
 

@@ -43,11 +43,11 @@ std::vector<double> disjoint_routing_survivals(const FlowNetwork& net,
   std::vector<bool> available(static_cast<std::size_t>(net.num_edges()),
                               true);
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
   while (static_cast<int>(survivals.size()) < options.max_routings) {
     residual.reset_with(available);
-    if (solver->solve(residual.graph(), demand.source, demand.sink,
-                      demand.rate) < demand.rate) {
+    if (solver.solve(residual.graph(), demand.source, demand.sink,
+                     demand.rate) < demand.rate) {
       break;
     }
     // The routing is the support of the flow the solver just computed.

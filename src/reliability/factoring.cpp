@@ -21,7 +21,6 @@ class FactoringSolver {
         options_(options),
         ctx_(ctx),
         residual_(net),
-        solver_(make_solver(options.algorithm)),
         state_(static_cast<std::size_t>(net.num_edges()),
                EdgeState::kUndecided),
         alive_(static_cast<std::size_t>(net.num_edges()), true) {}
@@ -44,8 +43,8 @@ class FactoringSolver {
     maxflow_calls_++;
     STREAMREL_TRACE_SAMPLED_SPAN(mf_span, maxflow_calls_, "maxflow",
                                  "maxflow");
-    return solver_->solve(residual_.graph(), demand_.source, demand_.sink,
-                          demand_.rate);
+    return solver_.solve(residual_.graph(), demand_.source, demand_.sink,
+                         demand_.rate);
   }
 
   // Picks the undecided edge carrying the most flow in the optimistic
@@ -103,7 +102,7 @@ class FactoringSolver {
   const FactoringOptions& options_;
   const ExecContext* ctx_;
   ConfigResidual residual_;
-  std::unique_ptr<MaxFlowSolver> solver_;
+  DinicSolver solver_;
   std::vector<EdgeState> state_;
   std::vector<bool> alive_;
   ProgressMarker progress_{exec_progress(ctx_)};

@@ -17,7 +17,7 @@ MonteCarloResult reliability_monte_carlo(const FlowNetwork& net,
   }
   Xoshiro256 rng(options.seed);
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
   std::vector<bool> alive(static_cast<std::size_t>(net.num_edges()));
   const std::vector<double> probs = net.failure_probs();
 
@@ -28,8 +28,8 @@ MonteCarloResult reliability_monte_carlo(const FlowNetwork& net,
       alive[e] = !rng.bernoulli(probs[e]);
     }
     residual.reset_with(alive);
-    if (solver->solve(residual.graph(), demand.source, demand.sink,
-                      demand.rate) >= demand.rate) {
+    if (solver.solve(residual.graph(), demand.source, demand.sink,
+                     demand.rate) >= demand.rate) {
       ++result.successes;
     }
   }

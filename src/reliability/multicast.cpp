@@ -21,7 +21,7 @@ void check_multicast(const FlowNetwork& net, const MulticastDemand& demand) {
 }
 
 // One configuration: can every subscriber receive the stream?
-bool all_subscribers_served(ConfigResidual& residual, MaxFlowSolver& solver,
+bool all_subscribers_served(ConfigResidual& residual, DinicSolver& solver,
                             const MulticastDemand& demand, Mask alive,
                             std::uint64_t& calls) {
   for (NodeId t : demand.subscribers) {
@@ -36,7 +36,7 @@ bool all_subscribers_served(ConfigResidual& residual, MaxFlowSolver& solver,
 }
 
 bool all_subscribers_served_sampled(ConfigResidual& residual,
-                                    MaxFlowSolver& solver,
+                                    DinicSolver& solver,
                                     const MulticastDemand& demand,
                                     const std::vector<bool>& alive) {
   for (NodeId t : demand.subscribers) {
@@ -52,8 +52,7 @@ bool all_subscribers_served_sampled(ConfigResidual& residual,
 }  // namespace
 
 ReliabilityResult multicast_reliability(const FlowNetwork& net,
-                                        const MulticastDemand& demand,
-                                        const MulticastOptions& options) {
+                                        const MulticastDemand& demand) {
   check_multicast(net, demand);
   if (!net.fits_mask()) {
     throw std::invalid_argument(
@@ -61,14 +60,14 @@ ReliabilityResult multicast_reliability(const FlowNetwork& net,
   }
   const ConfigProbTable probs(net.failure_probs());
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
 
   ReliabilityResult result;
   KahanSum sum;
   std::uint64_t maxflow_calls = 0;
   const Mask total = Mask{1} << net.num_edges();
   for (Mask alive = 0; alive < total; ++alive) {
-    if (all_subscribers_served(residual, *solver, demand, alive,
+    if (all_subscribers_served(residual, solver, demand, alive,
                                maxflow_calls)) {
       sum.add(probs.prob(alive));
     }
@@ -81,8 +80,7 @@ ReliabilityResult multicast_reliability(const FlowNetwork& net,
 
 ReliabilityResult quorum_reliability(const FlowNetwork& net,
                                      const MulticastDemand& demand,
-                                     int quorum,
-                                     const MulticastOptions& options) {
+                                     int quorum) {
   check_multicast(net, demand);
   if (quorum < 1 ||
       quorum > static_cast<int>(demand.subscribers.size())) {
@@ -93,7 +91,7 @@ ReliabilityResult quorum_reliability(const FlowNetwork& net,
   }
   const ConfigProbTable probs(net.failure_probs());
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
 
   ReliabilityResult result;
   KahanSum sum;
@@ -108,9 +106,9 @@ ReliabilityResult quorum_reliability(const FlowNetwork& net,
       if (served >= needed || served + (subscribers - i) < needed) break;
       residual.reset(alive);
       ++maxflow_calls;
-      if (solver->solve(residual.graph(), demand.source,
-                        demand.subscribers[static_cast<std::size_t>(i)],
-                        demand.rate) >= demand.rate) {
+      if (solver.solve(residual.graph(), demand.source,
+                       demand.subscribers[static_cast<std::size_t>(i)],
+                       demand.rate) >= demand.rate) {
         ++served;
       }
     }
@@ -131,7 +129,7 @@ MonteCarloResult multicast_reliability_monte_carlo(
   }
   Xoshiro256 rng(options.seed);
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
   std::vector<bool> alive(static_cast<std::size_t>(net.num_edges()));
   const std::vector<double> probs = net.failure_probs();
 
@@ -141,7 +139,7 @@ MonteCarloResult multicast_reliability_monte_carlo(
     for (std::size_t e = 0; e < probs.size(); ++e) {
       alive[e] = !rng.bernoulli(probs[e]);
     }
-    if (all_subscribers_served_sampled(residual, *solver, demand, alive)) {
+    if (all_subscribers_served_sampled(residual, solver, demand, alive)) {
       ++result.successes;
     }
   }

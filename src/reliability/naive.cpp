@@ -23,12 +23,11 @@ namespace {
 // kPollStride configurations; on a stop it sets `aborted` (shared across
 // shards) and returns the number of configurations it actually visited.
 std::uint64_t sweep_range(const FlowNetwork& net, const FlowDemand& demand,
-                          MaxFlowAlgorithm algorithm,
                           const ConfigProbTable& probs, Mask first, Mask last,
                           KahanSum& sum, std::uint64_t& maxflow_calls,
                           const ExecContext* ctx, std::atomic<bool>& aborted) {
   ConfigResidual residual(net);
-  auto solver = make_solver(algorithm);
+  DinicSolver solver;
   ProgressMarker progress(exec_progress(ctx));
   std::uint64_t visited = 0;
   for (Mask alive = first;; ++alive) {
@@ -44,8 +43,8 @@ std::uint64_t sweep_range(const FlowNetwork& net, const FlowDemand& demand,
     ++maxflow_calls;
     ++visited;
     STREAMREL_TRACE_SAMPLED_SPAN(mf_span, maxflow_calls, "maxflow", "maxflow");
-    if (solver->solve(residual.graph(), demand.source, demand.sink,
-                      demand.rate) >= demand.rate) {
+    if (solver.solve(residual.graph(), demand.source, demand.sink,
+                     demand.rate) >= demand.rate) {
       sum.add(probs.prob(alive));
     }
     if (alive == last) break;
@@ -136,8 +135,8 @@ ReliabilityResult reliability_naive(const FlowNetwork& net,
       const Mask last = (tid + 1 == static_cast<std::size_t>(threads))
                             ? total - 1
                             : first + chunk - 1;
-      visited[tid] = sweep_range(net, demand, options.algorithm, probs, first,
-                                 last, sums[tid], calls[tid], ctx, aborted);
+      visited[tid] = sweep_range(net, demand, probs, first, last, sums[tid],
+                                 calls[tid], ctx, aborted);
     }
     KahanSum sum;
     for (std::size_t i = 0; i < sums.size(); ++i) {
@@ -157,8 +156,8 @@ ReliabilityResult reliability_naive(const FlowNetwork& net,
 #endif
 
   KahanSum sum;
-  configurations = sweep_range(net, demand, options.algorithm, probs, 0,
-                               total - 1, sum, maxflow_calls, ctx, aborted);
+  configurations = sweep_range(net, demand, probs, 0, total - 1, sum,
+                               maxflow_calls, ctx, aborted);
   result.reliability = sum.value();
   if (aborted.load(std::memory_order_relaxed) && ctx) {
     result.status = ctx->stop_status();

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "streamrel/maxflow/config_residual.hpp"
+#include "streamrel/maxflow/dinic.hpp"
 #include "streamrel/util/stats.hpp"
 
 namespace streamrel {
@@ -34,8 +35,7 @@ double ReliabilityPolynomial::evaluate(double p) const {
 }
 
 ReliabilityPolynomial reliability_polynomial(const FlowNetwork& net,
-                                             const FlowDemand& demand,
-                                             const PolynomialOptions& options) {
+                                             const FlowDemand& demand) {
   net.check_demand(demand);
   if (!net.fits_mask()) {
     throw std::invalid_argument(
@@ -44,12 +44,12 @@ ReliabilityPolynomial reliability_polynomial(const FlowNetwork& net,
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(net.num_edges()) + 1, 0);
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
   const Mask total = Mask{1} << net.num_edges();
   for (Mask alive = 0; alive < total; ++alive) {
     residual.reset(alive);
-    if (solver->solve(residual.graph(), demand.source, demand.sink,
-                      demand.rate) >= demand.rate) {
+    if (solver.solve(residual.graph(), demand.source, demand.sink,
+                     demand.rate) >= demand.rate) {
       counts[static_cast<std::size_t>(net.num_edges() - popcount(alive))]++;
     }
   }

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "streamrel/maxflow/config_residual.hpp"
+#include "streamrel/maxflow/dinic.hpp"
 #include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/stats.hpp"
 
@@ -26,9 +27,8 @@ std::vector<double> ThroughputDistribution::exactly() const {
   return out;
 }
 
-ThroughputDistribution throughput_distribution(
-    const FlowNetwork& net, const FlowDemand& demand,
-    const ThroughputOptions& options) {
+ThroughputDistribution throughput_distribution(const FlowNetwork& net,
+                                               const FlowDemand& demand) {
   net.check_demand(demand);
   if (!net.fits_mask()) {
     throw std::invalid_argument(
@@ -36,7 +36,7 @@ ThroughputDistribution throughput_distribution(
   }
   const ConfigProbTable probs(net.failure_probs());
   ConfigResidual residual(net);
-  auto solver = make_solver(options.algorithm);
+  DinicSolver solver;
 
   // hist[f] accumulates the probability of configurations whose bounded
   // max-flow equals f (f capped at the stream rate).
@@ -44,8 +44,8 @@ ThroughputDistribution throughput_distribution(
   const Mask total = Mask{1} << net.num_edges();
   for (Mask alive = 0; alive < total; ++alive) {
     residual.reset(alive);
-    const Capacity flow = solver->solve(residual.graph(), demand.source,
-                                        demand.sink, demand.rate);
+    const Capacity flow = solver.solve(residual.graph(), demand.source,
+                                       demand.sink, demand.rate);
     hist[static_cast<std::size_t>(flow)].add(probs.prob(alive));
   }
 

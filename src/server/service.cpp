@@ -773,51 +773,66 @@ WireResponse ReliabilityService::do_restore(const WireRequest& request) {
   return resp;
 }
 
+WireResponse ReliabilityService::reject_unparsed(const WireParseError& e) {
+  errors_total_.fetch_add(1, std::memory_order_relaxed);
+  // Protocol rejects never reach execute_impl, but they are still
+  // requests the operator wants on dashboards and in the flight
+  // recorder (a client suddenly speaking garbage is an incident).
+  RequestRecord record;
+  record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  record.id_json = e.id_json() == "null" ? std::string() : e.id_json();
+  record.verb = e.verb().empty() ? "?" : e.verb();
+  record.lane.assign(to_string(WireLane::kInteractive));
+  record.ok = false;
+  record.error_code = e.code();
+  record.unix_ms = unix_millis_now();
+  // The verb label must stay bounded: a client-supplied verb string
+  // would mint a fresh series per typo. The log/flight record keeps
+  // the raw verb for debugging; the metric gets the catch-all.
+  RequestRecord metric_view = record;
+  metric_view.verb = "?";
+  note_request(metric_view, -1.0);
+  logger_.log(record);
+  flight_.record(record);
+  return make_wire_error(e.id_json(), e.verb(), e.code(), e.what());
+}
+
+WireResponse ReliabilityService::reject_oversized_line() {
+  return reject_unparsed(WireParseError(
+      "parse_error", "request line exceeds " +
+                         std::to_string(kMaxWireLineBytes) + " bytes"));
+}
+
 WireResponse ReliabilityService::reject_overloaded(std::string_view line) {
+  WireRequest request;
+  try {
+    request = parse_wire_request(line);
+  } catch (const WireParseError& e) {
+    // A line that does not even parse is refused for what it is — the
+    // in-flight cap only shapes well-formed traffic.
+    return reject_unparsed(e);
+  }
   errors_total_.fetch_add(1, std::memory_order_relaxed);
   RequestRecord record;
   record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   record.ok = false;
   record.unix_ms = unix_millis_now();
-
-  std::string id_json = "null";
-  std::string verb;
-  WireLane lane = WireLane::kInteractive;
-  try {
-    const WireRequest request = parse_wire_request(line);
-    id_json = request.id_json;
-    verb.assign(to_string(request.verb));
-    lane = request.lane;
-    record.id_json = request.id_json;
-    record.tenant = request.tenant;
-    record.network_id = request.network_id;
-  } catch (const WireParseError& e) {
-    // A line that does not even parse is refused for what it is — the
-    // in-flight cap only shapes well-formed traffic.
-    record.id_json = e.id_json() == "null" ? std::string() : e.id_json();
-    record.verb = e.verb().empty() ? "?" : e.verb();
-    record.lane.assign(to_string(WireLane::kInteractive));
-    record.error_code = e.code();
-    RequestRecord metric_view = record;
-    metric_view.verb = "?";
-    note_request(metric_view, -1.0);
-    logger_.log(record);
-    flight_.record(record);
-    return make_wire_error(e.id_json(), e.verb(), e.code(), e.what());
-  }
+  record.id_json = request.id_json;
+  record.tenant = request.tenant;
+  record.network_id = request.network_id;
+  record.verb.assign(to_string(request.verb));
+  record.lane.assign(to_string(request.lane));
+  record.error_code = "overloaded";
 
   metrics_
       .counter("streamrel_backpressure_rejects_total",
                "Request lines refused by the connection in-flight cap",
-               MetricLabels{{"lane", std::string(to_string(lane))}})
+               MetricLabels{{"lane", record.lane}})
       .inc();
-  record.verb = verb;
-  record.lane.assign(to_string(lane));
-  record.error_code = "overloaded";
   note_request(record, -1.0);
   logger_.log(record);
   flight_.record(record);
-  return make_wire_error(id_json, verb, "overloaded",
+  return make_wire_error(request.id_json, record.verb, "overloaded",
                          "connection has too many in-flight requests; retry "
                          "after a response drains");
 }
@@ -943,27 +958,7 @@ void ReliabilityService::handle_line(std::string_view line,
   try {
     request = parse_wire_request(line);
   } catch (const WireParseError& e) {
-    errors_total_.fetch_add(1, std::memory_order_relaxed);
-    // Protocol rejects never reach execute_impl, but they are still
-    // requests the operator wants on dashboards and in the flight
-    // recorder (a client suddenly speaking garbage is an incident).
-    RequestRecord record;
-    record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    record.id_json = e.id_json() == "null" ? std::string() : e.id_json();
-    record.verb = e.verb().empty() ? "?" : e.verb();
-    record.lane.assign(to_string(WireLane::kInteractive));
-    record.ok = false;
-    record.error_code = e.code();
-    record.unix_ms = unix_millis_now();
-    // The verb label must stay bounded: a client-supplied verb string
-    // would mint a fresh series per typo. The log/flight record keeps
-    // the raw verb for debugging; the metric gets the catch-all.
-    RequestRecord metric_view = record;
-    metric_view.verb = "?";
-    note_request(metric_view, -1.0);
-    logger_.log(record);
-    flight_.record(record);
-    done(make_wire_error(e.id_json(), e.verb(), e.code(), e.what()));
+    done(reject_unparsed(e));
     return;
   }
 

@@ -36,6 +36,32 @@ bool parse_get_line(std::string_view line, std::string_view* path) {
   return true;
 }
 
+/// Reads one '\n'-terminated line (or the unterminated tail at EOF) into
+/// `line`, holding at most kMaxWireLineBytes of it: the rest of a longer
+/// line is consumed and dropped, and `oversized` is set. Returns false
+/// at end of input.
+bool read_bounded_line(std::istream& in, std::string& line, bool& oversized) {
+  line.clear();
+  oversized = false;
+  bool any = false;
+  char chunk[64 * 1024];
+  for (;;) {
+    in.getline(chunk, sizeof(chunk));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    // A chunk that filled up before the newline fails without EOF; the
+    // newline, when found, is counted but not stored.
+    const bool full =
+        in.fail() && !in.eof() && got + 1 == sizeof(chunk);
+    const bool newline = !in.fail() && !in.eof();
+    const std::size_t stored = newline ? got - 1 : got;
+    any = any || got > 0;
+    if (line.size() + stored > kMaxWireLineBytes) oversized = true;
+    if (!oversized) line.append(chunk, stored);
+    if (!full) return any;
+    in.clear();
+  }
+}
+
 }  // namespace
 
 StreamServeResult serve_stream(ReliabilityService& service, std::istream& in,
@@ -48,7 +74,16 @@ StreamServeResult serve_stream(ReliabilityService& service, std::istream& in,
   // the function returns.
   std::atomic<std::size_t> inflight{0};
   std::string line;
-  while (std::getline(in, line)) {
+  bool oversized = false;
+  while (read_bounded_line(in, line, oversized)) {
+    if (oversized) {
+      result.lines += 1;
+      const WireResponse resp = service.reject_oversized_line();
+      const std::lock_guard<std::mutex> lock(write_mu);
+      out << serialize_wire_response(resp) << "\n";
+      result.responses += 1;
+      continue;
+    }
     if (line.empty()) continue;
     std::string_view path;
     if (parse_get_line(line, &path)) {
@@ -219,10 +254,23 @@ struct TcpServer::Impl {
       const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
+      // Only the new bytes can hold a newline: the buffered tail was
+      // scanned when it arrived.
+      std::size_t scan = buffer.size();
       buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
       for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
+        const std::size_t nl = buffer.find('\n', scan);
+        if ((nl == std::string::npos ? buffer.size() : nl) - start >
+            kMaxWireLineBytes) {
+          // Never buffer an over-cap line: answer once and hang up, as
+          // there is no telling where the client meant it to end.
+          conn->write_line(
+              serialize_wire_response(service.reject_oversized_line()));
+          ::shutdown(conn->fd, SHUT_RDWR);
+          conn->open.store(false, std::memory_order_relaxed);
+          return;
+        }
         if (nl == std::string::npos) break;
         const std::string_view line(buffer.data() + start, nl - start);
         std::string_view get_path;
@@ -267,6 +315,7 @@ struct TcpServer::Impl {
           if (service.shutdown_requested()) wake();
         }
         start = nl + 1;
+        scan = start;
       }
       buffer.erase(0, start);
     }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
 
 #include "streamrel/core/reliability_facade.hpp"
+#include "streamrel/cuts/partition_search.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/p2p/scenario.hpp"
 #include "streamrel/reliability/factoring.hpp"
@@ -418,6 +423,180 @@ TEST(Bottleneck, MediumClusteredInstanceAgreesWithFactoring) {
       partition_from_sides(g.net, g.source, g.sink, g.side_s);
   EXPECT_NEAR(reliability_bottleneck(g.net, demand, partition).reliability,
               reliability_factoring(g.net, demand).reliability, 1e-9);
+}
+
+// --- Eq. 3 does not depend on the cut ----------------------------------
+//
+// The decomposition is exact for ANY bottleneck set, so R must not depend
+// on which admissible partition the search hands the engine: every
+// candidate find_candidate_partitions returns must give the same R, and
+// the R of exhaustive enumeration.
+
+struct CutFamilyInstance {
+  std::string family;
+  GeneratedNetwork g;
+  Capacity rate = 1;
+};
+
+/// Directed copy of a planted two-cluster network: source-side links
+/// point away from the source, sink-side links toward the sink (by BFS
+/// depth inside each cluster), crossing links S -> T, plus one T -> S arc
+/// from the head of the first crossing link to the tail of the last. A
+/// delivering path may then cross out, back and out again.
+GeneratedNetwork directed_with_back_arc(const GeneratedNetwork& g) {
+  const auto in_s = [&](NodeId n) {
+    return static_cast<bool>(g.side_s[static_cast<std::size_t>(n)]);
+  };
+  const auto depth_from = [&](NodeId root) {
+    std::vector<int> depth(static_cast<std::size_t>(g.net.num_nodes()), -1);
+    std::vector<NodeId> queue{root};
+    depth[static_cast<std::size_t>(root)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (EdgeId id : g.net.incident_edges(queue[head])) {
+        const NodeId next = g.net.edge(id).other(queue[head]);
+        if (in_s(next) != in_s(root) ||
+            depth[static_cast<std::size_t>(next)] != -1) {
+          continue;
+        }
+        depth[static_cast<std::size_t>(next)] =
+            depth[static_cast<std::size_t>(queue[head])] + 1;
+        queue.push_back(next);
+      }
+    }
+    return depth;
+  };
+  const std::vector<int> from_s = depth_from(g.source);
+  const std::vector<int> to_t = depth_from(g.sink);
+  GeneratedNetwork out = g;
+  out.net = FlowNetwork(g.net.num_nodes());
+  std::vector<const Edge*> crossing;
+  for (const Edge& e : g.net.edges()) {
+    const auto du = static_cast<std::size_t>(e.u);
+    const auto dv = static_cast<std::size_t>(e.v);
+    bool along = true;
+    if (in_s(e.u) != in_s(e.v)) {
+      along = in_s(e.u);
+      crossing.push_back(&e);
+    } else {
+      along = in_s(e.u) ? from_s[du] <= from_s[dv] : to_t[du] >= to_t[dv];
+    }
+    out.net.add_directed_edge(along ? e.u : e.v, along ? e.v : e.u,
+                              e.capacity, e.failure_prob);
+  }
+  const Edge& first = *crossing.front();
+  const Edge& last = *crossing.back();
+  out.net.add_directed_edge(in_s(first.u) ? first.v : first.u,
+                            in_s(last.u) ? last.u : last.v, 1, 0.1);
+  return out;
+}
+
+/// Mask-sized instances (<= 16 links) of every generator family at rates
+/// 1 and 2. The directed family has a T -> S arc across its planted cut
+/// that a delivering path can use, so that partition needs signed
+/// assignments — the E14 soundness case.
+std::vector<CutFamilyInstance> cut_independence_families() {
+  std::vector<CutFamilyInstance> out;
+  Xoshiro256 rng(20261018);
+  const CapacityRange caps{1, 3};
+  const ProbRange probs{0.05, 0.5};
+  for (int i = 0; i < 8; ++i) {
+    ClusteredParams params;
+    params.nodes_s = 3 + i % 3;
+    params.nodes_t = 3 + (i / 3) % 3;
+    params.extra_edges_s = i % 3;
+    params.extra_edges_t = (i + 1) % 3;
+    params.bottleneck_links = 1 + i % 3;
+    params.cluster_probs = params.bottleneck_probs = probs;
+    out.push_back({"clustered", clustered_bottleneck(rng, params), 1 + i % 2});
+  }
+  for (int i = 0; i < 6; ++i) {
+    out.push_back({"small-world",
+                   small_world(rng, 10 + i % 3, 2, 0.3, caps, probs),
+                   1 + i % 2});
+  }
+  for (int i = 0; i < 6; ++i) {
+    out.push_back({"preferential-attachment",
+                   preferential_attachment(rng, 7 + i % 2, 2, caps, probs),
+                   1 + i % 2});
+  }
+  for (int i = 0; i < 6; ++i) {
+    out.push_back({"random-multigraph",
+                   random_multigraph(rng, 7 + i % 2, 10 + i % 3, caps, probs),
+                   1 + i % 2});
+  }
+  for (int i = 0; i < 12; ++i) {
+    ClusteredParams params;
+    params.nodes_s = params.nodes_t = 3 + i % 3;
+    params.extra_edges_s = params.extra_edges_t = 1 + i % 2;
+    params.bottleneck_links = 2;
+    params.cluster_probs = params.bottleneck_probs = probs;
+    out.push_back({"directed-clustered",
+                   directed_with_back_arc(clustered_bottleneck(rng, params)),
+                   1 + i % 2});
+  }
+  return out;
+}
+
+/// Agreement relative to the value itself, on R and on Q = 1 - R: the
+/// unreliability is the number operators read near R = 1.
+void expect_same_reliability(double got, double want,
+                             const std::string& where) {
+  constexpr double kRel = 1e-9;
+  const auto close = [](double a, double b) {
+    return std::abs(a - b) <= kRel * std::max(std::abs(a), std::abs(b));
+  };
+  EXPECT_TRUE(close(got, want))
+      << where << ": R " << got << " vs " << want;
+  EXPECT_TRUE(close(1.0 - got, 1.0 - want))
+      << where << ": Q " << 1.0 - got << " vs " << 1.0 - want;
+}
+
+TEST(BottleneckCutIndependence, EveryCandidatePartitionGivesTheNaiveR) {
+  PartitionSearchOptions search;
+  search.max_k = 3;  // |D| stays within the mask at rates <= 2, caps <= 3
+  // Per family: instances with R > 0 and two or more partitions, where
+  // the property has teeth.
+  std::map<std::string, int> compared;
+  for (const CutFamilyInstance& inst : cut_independence_families()) {
+    const FlowDemand demand{inst.g.source, inst.g.sink, inst.rate};
+    const double naive = reliability_naive(inst.g.net, demand).reliability;
+    std::vector<BottleneckPartition> partitions;
+    for (PartitionChoice& choice : find_candidate_partitions(
+             inst.g.net, demand.source, demand.sink, search)) {
+      partitions.push_back(std::move(choice.partition));
+    }
+    // The search only returns cuts whose removal splits the network in
+    // two, which no cut with a T -> S arc across it does; the planted
+    // partition brings those arcs in.
+    if (!inst.g.side_s.empty()) {
+      partitions.push_back(partition_from_sides(
+          inst.g.net, demand.source, demand.sink, inst.g.side_s));
+    }
+    for (std::size_t c = 0; c < partitions.size(); ++c) {
+      const std::string where =
+          inst.family + " (" + std::to_string(inst.g.net.num_edges()) +
+          " links, d=" + std::to_string(inst.rate) + ") partition " +
+          std::to_string(c) + " of " + std::to_string(partitions.size()) +
+          ", k=" + std::to_string(partitions[c].k());
+      const BottleneckResult result =
+          reliability_bottleneck(inst.g.net, demand, partitions[c]);
+      ASSERT_TRUE(result.exact()) << where;
+      expect_same_reliability(result.reliability, naive, where + " vs naive");
+      if (c > 0) {
+        const double first =
+            reliability_bottleneck(inst.g.net, demand, partitions[0])
+                .reliability;
+        expect_same_reliability(result.reliability, first,
+                                where + " vs partition 0");
+      }
+    }
+    if (partitions.size() >= 2 && naive > 0.0) ++compared[inst.family];
+  }
+  for (const char* family :
+       {"clustered", "small-world", "preferential-attachment",
+        "random-multigraph", "directed-clustered"}) {
+    EXPECT_GE(compared[family], 2) << family;
+  }
 }
 
 }  // namespace

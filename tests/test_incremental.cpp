@@ -104,8 +104,8 @@ TEST_P(IncrementalRandomTest, MatchesFromScratchUnderRandomToggles) {
       const bool to_alive = !test_bit(alive, e);
       alive ^= bit(e);
       inc.set_edge_alive(e, to_alive);
-      const Capacity expect = max_flow_masked(g.net, alive, g.source, g.sink,
-                                              MaxFlowAlgorithm::kDinic, rate);
+      const Capacity expect =
+          max_flow_masked(g.net, alive, g.source, g.sink, rate);
       ASSERT_EQ(inc.flow_value(), expect)
           << "trial " << trial << " step " << step << " alive=" << alive;
     }

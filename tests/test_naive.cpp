@@ -121,28 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "unknown";
     });
 
-class NaiveAlgorithmTest : public ::testing::TestWithParam<MaxFlowAlgorithm> {
-};
-
-TEST_P(NaiveAlgorithmTest, SolverChoiceDoesNotChangeTheAnswer) {
-  Xoshiro256 rng(512);
-  NaiveOptions options;
-  options.algorithm = GetParam();
-  for (int trial = 0; trial < 20; ++trial) {
-    const GeneratedNetwork g = random_multigraph(
-        rng, static_cast<int>(rng.uniform_int(2, 5)),
-        static_cast<int>(rng.uniform_int(1, 9)), {1, 3}, {0.0, 0.5});
-    const FlowDemand demand{g.source, g.sink, rng.uniform_int(1, 2)};
-    EXPECT_NEAR(reliability_naive(g.net, demand, options).reliability,
-                brute_force_reliability(g.net, demand), kTol);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Algorithms, NaiveAlgorithmTest,
-                         ::testing::Values(MaxFlowAlgorithm::kDinic,
-                                           MaxFlowAlgorithm::kEdmondsKarp,
-                                           MaxFlowAlgorithm::kPushRelabel));
-
 #ifdef _OPENMP
 TEST(NaiveReliability, ParallelPathIsExactWithForcedThreadCount) {
   // Even on a single-core host, force several OpenMP threads so the

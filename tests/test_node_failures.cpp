@@ -43,9 +43,9 @@ double brute_force_with_node_failures(const FlowNetwork& net,
           !test_bit(node_cfg, demand.sink)) {
         continue;
       }
-      if (max_flow_masked(net, usable, demand.source, demand.sink,
-                          MaxFlowAlgorithm::kEdmondsKarp,
-                          demand.rate) >= demand.rate) {
+      if (testing::oracle_max_flow_masked(net, usable, demand.source,
+                                          demand.sink,
+                                          demand.rate) >= demand.rate) {
         sum += p;
       }
     }

@@ -922,6 +922,117 @@ TEST(Server, TcpLoopbackRoundTrip) {
   EXPECT_TRUE(saw_solve);
 }
 
+/// Loopback TcpServer on an ephemeral port, run on its own thread for
+/// the lifetime of the fixture; null when sockets are unavailable.
+struct LoopbackServer {
+  std::unique_ptr<TcpServer> server;
+  std::thread runner;
+
+  explicit LoopbackServer(ReliabilityService& service) {
+    try {
+      server = std::make_unique<TcpServer>(service, TcpServerOptions{});
+    } catch (const std::exception&) {
+      return;
+    }
+    runner = std::thread([this] { server->run(); });
+  }
+  ~LoopbackServer() {
+    if (!server) return;
+    server->stop();
+    runner.join();
+  }
+};
+
+std::string error_code_of(const std::string& line) {
+  const JsonValue doc = parse_json(line);
+  if (doc.find("ok")->as_bool()) return "";
+  return doc.find("error")->find("code")->as_string();
+}
+
+TEST(Server, TcpOverCapLineGetsOneParseErrorAndNextConnectionIsServed) {
+  const GeneratedNetwork g = test_instance();
+  ServiceOptions options;
+  options.start_workers = true;
+  options.scheduler.workers = 2;
+  ReliabilityService service(options);
+  LoopbackServer loop(service);
+  if (!loop.server) GTEST_SKIP() << "no loopback TCP available";
+
+  // One byte past the cap and no newline: the server must answer once
+  // and hang up rather than buffer the line forever.
+  const std::vector<std::string> refused = tcp_client_exchange(
+      "127.0.0.1", loop.server->port(),
+      std::string(kMaxWireLineBytes + 1, 'x'), 2);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(error_code_of(refused[0]), "parse_error");
+
+  std::stringstream script;
+  WireRequest reg = register_request(g);
+  reg.id_json = "1";
+  script << serialize_wire_request(reg) << "\n";
+  WireRequest solve;
+  solve.verb = WireVerb::kSolve;
+  solve.id_json = "2";
+  script << serialize_wire_request(solve) << "\n";
+  const std::vector<std::string> replies =
+      tcp_client_exchange("127.0.0.1", loop.server->port(), script.str(), 2);
+  ASSERT_EQ(replies.size(), 2u);
+  for (const std::string& line : replies) EXPECT_EQ(error_code_of(line), "");
+}
+
+TEST(Server, TcpDeeplyNestedLineGetsOneParseErrorAndConnectionKeepsServing) {
+  // The TCP variant of DeeplyNestedLineGetsOneParseErrorAndServiceKeeps-
+  // Serving: the 1M-'[' line sits under the line cap, so the parser's
+  // depth cap answers it and the same connection goes on serving.
+  const GeneratedNetwork g = test_instance();
+  ServiceOptions options;
+  options.start_workers = true;
+  options.scheduler.workers = 2;
+  ReliabilityService service(options);
+  LoopbackServer loop(service);
+  if (!loop.server) GTEST_SKIP() << "no loopback TCP available";
+
+  std::stringstream script;
+  WireRequest reg = register_request(g);
+  reg.id_json = "1";
+  script << serialize_wire_request(reg) << "\n"
+         << std::string(1'000'000, '[') << "\n"
+         << R"({"v": 1, "id": 3, "verb": "solve"})" << "\n";
+  const std::vector<std::string> replies =
+      tcp_client_exchange("127.0.0.1", loop.server->port(), script.str(), 3);
+  ASSERT_EQ(replies.size(), 3u);
+  int parse_errors = 0;
+  bool solved = false;
+  for (const std::string& line : replies) {
+    const std::string code = error_code_of(line);
+    if (code == "parse_error") ++parse_errors;
+    if (code.empty() && parse_json(line).find("id")->as_number() == 3.0) {
+      solved = true;
+    }
+  }
+  EXPECT_EQ(parse_errors, 1);
+  EXPECT_TRUE(solved);
+}
+
+TEST(Server, StreamOverCapLineGetsOneParseErrorAndStreamKeepsServing) {
+  const GeneratedNetwork g = test_instance();
+  ReliabilityService service;
+  ASSERT_TRUE(service.execute(register_request(g)).ok);
+  std::stringstream in;
+  in << std::string(kMaxWireLineBytes + 1, 'x') << "\n"
+     << R"({"v": 1, "id": 2, "verb": "solve"})" << "\n";
+  std::stringstream out;
+  const StreamServeResult served = serve_stream(service, in, out);
+  EXPECT_EQ(served.lines, 2u);
+  EXPECT_EQ(served.responses, 2u);
+  std::vector<std::string> replies;
+  std::string line;
+  while (std::getline(out, line)) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(error_code_of(replies[0]), "parse_error");
+  EXPECT_EQ(error_code_of(replies[1]), "");
+}
+
 // --- durable sessions (--state-dir) ------------------------------------
 
 namespace fs = std::filesystem;

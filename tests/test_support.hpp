@@ -1,9 +1,13 @@
 #pragma once
 // Shared helpers for the test suite: tiny canonical networks, an
-// INDEPENDENT brute-force reliability oracle (coded differently from
-// src/reliability/naive.cpp on purpose), and float comparison tolerances.
+// INDEPENDENT max-flow oracle (Edmonds–Karp, a second solver next to the
+// library's Dinic), a brute-force reliability oracle built on it (coded
+// differently from src/reliability/naive.cpp on purpose), and float
+// comparison tolerances.
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "streamrel/cuts/cut_enumeration.hpp"
@@ -17,8 +21,72 @@ namespace streamrel::testing {
 
 inline constexpr double kTol = 1e-9;
 
+/// Edmonds–Karp: shortest augmenting paths by BFS, O(V E^2). The test
+/// oracle that Dinic is checked against — simple enough to verify by
+/// reading, and sharing nothing with DinicSolver but ResidualGraph.
+/// Stops once the flow reaches `limit` (kUnbounded for a true maximum).
+inline Capacity edmonds_karp(ResidualGraph& g, NodeId s, NodeId t,
+                             Capacity limit = kUnbounded) {
+  const Capacity target =
+      limit == kUnbounded ? std::numeric_limits<Capacity>::max() : limit;
+  std::vector<std::int32_t> parent_arc;
+  std::vector<NodeId> queue;
+  Capacity flow = 0;
+  while (flow < target) {
+    parent_arc.assign(static_cast<std::size_t>(g.num_nodes()), -1);
+    queue.assign(1, s);
+    bool reached = false;
+    for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
+      for (std::int32_t ai : g.out_arcs(queue[head])) {
+        const ResidualArc& a = g.arc(ai);
+        if (a.cap <= 0 || a.to == s ||
+            parent_arc[static_cast<std::size_t>(a.to)] != -1) {
+          continue;
+        }
+        parent_arc[static_cast<std::size_t>(a.to)] = ai;
+        if (a.to == t) {
+          reached = true;
+          break;
+        }
+        queue.push_back(a.to);
+      }
+    }
+    if (!reached) break;
+
+    // Bottleneck along the parent chain, capped at the remaining target.
+    Capacity push = target - flow;
+    for (NodeId n = t; n != s;) {
+      const ResidualArc& a = g.arc(parent_arc[static_cast<std::size_t>(n)]);
+      if (a.cap < push) push = a.cap;
+      n = g.arc(a.rev).to;
+    }
+    for (NodeId n = t; n != s;) {
+      const std::int32_t ai = parent_arc[static_cast<std::size_t>(n)];
+      g.push(ai, push);
+      n = g.arc(g.arc(ai).rev).to;
+    }
+    flow += push;
+  }
+  return flow;
+}
+
+/// Oracle max-flow value on the full network.
+inline Capacity oracle_max_flow(const FlowNetwork& net, NodeId s, NodeId t,
+                                Capacity limit = kUnbounded) {
+  ResidualGraph g = ResidualGraph::from_network_all(net);
+  return edmonds_karp(g, s, t, limit);
+}
+
+/// Oracle max-flow value when only `alive` edges exist.
+inline Capacity oracle_max_flow_masked(const FlowNetwork& net, Mask alive,
+                                       NodeId s, NodeId t,
+                                       Capacity limit = kUnbounded) {
+  ResidualGraph g = ResidualGraph::from_network(net, alive);
+  return edmonds_karp(g, s, t, limit);
+}
+
 /// Brute-force reliability: direct sum over all alive masks using the
-/// facade max_flow_masked with Edmonds-Karp (different code path from the
+/// Edmonds–Karp oracle (different solver and code path from the
 /// ConfigResidual-based algorithms under test).
 inline double brute_force_reliability(const FlowNetwork& net,
                                       const FlowDemand& demand) {
@@ -26,8 +94,8 @@ inline double brute_force_reliability(const FlowNetwork& net,
   const std::vector<double> probs = net.failure_probs();
   double sum = 0.0;
   for (Mask alive = 0; alive < total; ++alive) {
-    if (max_flow_masked(net, alive, demand.source, demand.sink,
-                        MaxFlowAlgorithm::kEdmondsKarp) >= demand.rate) {
+    if (oracle_max_flow_masked(net, alive, demand.source, demand.sink) >=
+        demand.rate) {
       sum += config_probability(probs, alive);
     }
   }

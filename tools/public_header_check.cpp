@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 6, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 7, "stale public surface");
 
 namespace {
 
@@ -14,13 +14,15 @@ namespace {
     const streamrel::FlowNetwork&, const streamrel::FlowDemand&,
     const streamrel::SolveOptions&) = &streamrel::compute_reliability;
 
-// The compiled-snapshot surface (API v4) and the promoted max-flow
-// reference solvers must be reachable from the installed tree alone.
+// The compiled-snapshot surface (API v4) and the library's one max-flow
+// solver (a plain class since API v7) must be reachable from the
+// installed tree alone.
 [[maybe_unused]] std::shared_ptr<const streamrel::CompiledNetwork> (
     streamrel::FlowNetwork::*const kCompile)() const =
     &streamrel::FlowNetwork::compile;
-[[maybe_unused]] constexpr std::size_t kSolverSizes =
-    sizeof(streamrel::EdmondsKarpSolver) + sizeof(streamrel::PushRelabelSolver);
+[[maybe_unused]] streamrel::Capacity (streamrel::DinicSolver::*const kDinicSolve)(
+    streamrel::ResidualGraph&, streamrel::NodeId, streamrel::NodeId,
+    streamrel::Capacity) = &streamrel::DinicSolver::solve;
 
 // The wire schema (API v5) must be reachable from the installed tree.
 [[maybe_unused]] streamrel::WireRequest (*const kParseWire)(
