@@ -1,17 +1,17 @@
-// E26 — side-array construction strategies (the dominant cost of the
-// bottleneck decomposition): the paper's from-scratch sweep vs the
-// Gray-code incremental sweep vs Gray + monotone pruning vs the
-// bit-parallel slab sweep, for both feasibility engines. Reports wall
-// time, max-flow solver calls, the incremental bookkeeping counters,
-// and the slab sweep's word-wide coverage; verifies the arrays are
-// bitwise identical and the end-to-end reliabilities agree to 1e-12.
+// E26 — side-array construction (the dominant cost of the bottleneck
+// decomposition): the production sweep (build_side_array: bit-parallel
+// slabs plus an incremental residue engine) against the paper's own
+// procedure, one bounded max-flow per (configuration, assignment)
+// through SideMaskEvaluator — the scratch oracle. Reports wall time,
+// max-flow solver calls and the word-wide coverage of the slab kernels;
+// verifies the arrays are bitwise identical and that the decomposition's
+// reliability equals the one folded from the oracle's arrays.
 // With --json=FILE the results are also written as a schema-versioned
 // bench_harness record for CI trend tracking.
 //
-// --threads N applies ONE thread policy to every strategy: N=1 (the
-// default) runs all sweeps serially, N=0 lets the library pick, any
-// other N caps the OpenMP pool — so the per-strategy comparison is
-// always like for like.
+// --threads N: N=1 (the default) runs the sweep serially, N=0 lets the
+// library pick, any other N caps the OpenMP pool. The oracle is serial
+// in every case.
 
 #include <cmath>
 #include <iostream>
@@ -40,97 +40,16 @@ std::uint64_t count_occurrences(const std::string& haystack,
   return count;
 }
 
-struct Row {
-  std::string engine;
-  double scratch_ms = 0.0;
-  double gray_ms = 0.0;
-  double pruned_ms = 0.0;
-  double bit_ms = 0.0;
-  std::uint64_t scratch_calls = 0;
-  std::uint64_t gray_calls = 0;
-  std::uint64_t pruned_calls = 0;
-  std::uint64_t bit_calls = 0;
-  std::uint64_t pruned_decisions = 0;
-  std::uint64_t lanes_wordwise = 0;
-  std::uint64_t scalar_residue = 0;
-  bool identical = false;
-
-  /// Fraction of per-lane decisions the slab kernels made without a
-  /// scalar engine. 0 when the strategy delegated (polymatroid).
-  double wordwise_coverage() const {
-    const double total =
-        static_cast<double>(lanes_wordwise + scalar_residue);
-    return total > 0.0 ? static_cast<double>(lanes_wordwise) / total : 0.0;
-  }
-};
-
-struct ThreadPolicy {
-  bool parallel = false;
-  ExecContext ctx;
-
-  const ExecContext* context() const { return parallel ? &ctx : nullptr; }
-};
-
-SideArrayOptions strategy_options(FeasibilityMethod f, SideSweepStrategy s,
-                                  bool pruning, const ThreadPolicy& policy) {
-  SideArrayOptions o;
-  o.feasibility = f;
-  o.parallel = policy.parallel;
-  o.sweep = s;
-  o.monotone_pruning = pruning;
-  return o;
-}
-
-Row run_engine(const std::string& name, FeasibilityMethod method,
-               const SideProblem& side, const AssignmentSet& assignments,
-               Capacity d, const ThreadPolicy& policy) {
-  Row row;
-  row.engine = name;
-  Stopwatch sw;
-
-  SideArrayStats scratch_stats;
-  const auto scratch = build_side_array(
-      side, assignments, d,
-      strategy_options(method, SideSweepStrategy::kScratch, false, policy),
-      &scratch_stats, policy.context());
-  row.scratch_ms = sw.elapsed_ms();
-  row.scratch_calls = scratch_stats.maxflow_calls();
-
-  sw.reset();
-  SideArrayStats gray_stats;
-  const auto gray = build_side_array(
-      side, assignments, d,
-      strategy_options(method, SideSweepStrategy::kGrayIncremental, false,
-                       policy),
-      &gray_stats, policy.context());
-  row.gray_ms = sw.elapsed_ms();
-  row.gray_calls = gray_stats.maxflow_calls();
-
-  sw.reset();
-  SideArrayStats pruned_stats;
-  const auto pruned = build_side_array(
-      side, assignments, d,
-      strategy_options(method, SideSweepStrategy::kGrayIncremental, true,
-                       policy),
-      &pruned_stats, policy.context());
-  row.pruned_ms = sw.elapsed_ms();
-  row.pruned_calls = pruned_stats.maxflow_calls();
-  row.pruned_decisions = pruned_stats.pruned_decisions();
-
-  sw.reset();
-  SideArrayStats bit_stats;
-  const auto bit_parallel = build_side_array(
-      side, assignments, d,
-      strategy_options(method, SideSweepStrategy::kBitParallel, false, policy),
-      &bit_stats, policy.context());
-  row.bit_ms = sw.elapsed_ms();
-  row.bit_calls = bit_stats.maxflow_calls();
-  row.lanes_wordwise = bit_stats.lanes_decided_wordwise();
-  row.scalar_residue = bit_stats.scalar_residue();
-
-  row.identical =
-      scratch == gray && scratch == pruned && scratch == bit_parallel;
-  return row;
+/// The paper's procedure: every (configuration, assignment) question
+/// answered by its own bounded max-flow.
+std::vector<Mask> scratch_oracle(const SideProblem& side,
+                                 const AssignmentSet& assignments, Capacity d,
+                                 std::uint64_t& maxflow_calls) {
+  SideMaskEvaluator eval(side, assignments, d);
+  std::vector<Mask> array(std::size_t{1} << side.view.num_edges());
+  for (Mask c = 0; c < array.size(); ++c) array[c] = eval.realized(c);
+  maxflow_calls = eval.maxflow_calls();
+  return array;
 }
 
 }  // namespace
@@ -144,9 +63,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("seed", 17));
   const int threads = static_cast<int>(args.get_int("threads", 1));
 
-  ThreadPolicy policy;
-  policy.parallel = threads != 1;
-  policy.ctx.max_threads = threads > 1 ? threads : 0;
+  ExecContext ctx;
+  ctx.max_threads = threads;
 
   // A clustered instance whose SOURCE side carries `side_links` internal
   // links: nodes_s - 1 spanning-tree links plus the remainder as extras.
@@ -166,62 +84,70 @@ int main(int argc, char** argv) {
       enumerate_assignments(g.net, partition, d, {AssignmentMode::kForwardOnly});
   const SideProblem side = make_side_problem(g.net, demand, partition, true);
 
-  std::cout << "E26: side-array sweep strategies, |E_side|="
+  std::cout << "E26: side-array sweep vs scratch oracle, |E_side|="
             << side.view.num_edges() << " (2^" << side.view.num_edges()
             << " configurations), |D|=" << forward.size() << ", d=" << d
             << ", k=" << bottleneck << ", threads="
             << (threads == 1 ? "serial" : std::to_string(threads)) << "\n\n";
 
-  std::vector<Row> rows;
-  rows.push_back(run_engine("per_assignment", FeasibilityMethod::kPerAssignment,
-                            side, forward, d, policy));
-  rows.push_back(run_engine("polymatroid", FeasibilityMethod::kPolymatroid,
-                            side, forward, d, policy));
+  Stopwatch sw;
+  std::uint64_t scratch_calls = 0;
+  const std::vector<Mask> scratch =
+      scratch_oracle(side, forward, d, scratch_calls);
+  const double scratch_ms = sw.elapsed_ms();
 
-  TextTable table({"engine", "scratch_ms", "gray_ms", "gray+prune_ms",
-                   "bit_ms", "bit_x_prune", "scratch_calls", "bit_calls",
-                   "coverage", "identical"});
-  for (const Row& r : rows) {
-    table.new_row()
-        .add_cell(r.engine)
-        .add_cell(r.scratch_ms, 2)
-        .add_cell(r.gray_ms, 2)
-        .add_cell(r.pruned_ms, 2)
-        .add_cell(r.bit_ms, 2)
-        .add_cell(r.pruned_ms / r.bit_ms, 2)
-        .add_cell(r.scratch_calls)
-        .add_cell(r.bit_calls)
-        .add_cell(r.wordwise_coverage(), 4)
-        .add_cell(r.identical ? "yes" : "NO");
-  }
+  sw.reset();
+  SideArrayStats stats;
+  const std::vector<Mask> sweep =
+      build_side_array(side, forward, d, &stats, &ctx);
+  const double sweep_ms = sw.elapsed_ms();
+
+  const bool identical = scratch == sweep;
+  const double decided = static_cast<double>(stats.lanes_decided_wordwise() +
+                                             stats.scalar_residue());
+  const double coverage =
+      decided > 0.0
+          ? static_cast<double>(stats.lanes_decided_wordwise()) / decided
+          : 0.0;
+  const double speedup = scratch_ms / sweep_ms;
+
+  TextTable table({"scratch_ms", "sweep_ms", "speedup", "scratch_calls",
+                   "sweep_calls", "coverage", "identical"});
+  table.new_row()
+      .add_cell(scratch_ms, 2)
+      .add_cell(sweep_ms, 2)
+      .add_cell(speedup, 2)
+      .add_cell(scratch_calls)
+      .add_cell(stats.maxflow_calls())
+      .add_cell(coverage, 4)
+      .add_cell(identical ? "yes" : "NO");
   table.print(std::cout);
 
-  // End-to-end cross-check: the full decomposition must produce the same
-  // reliability whichever sweep built the side arrays.
-  BottleneckOptions scratch_opts;
-  scratch_opts.side = strategy_options(FeasibilityMethod::kAuto,
-                                       SideSweepStrategy::kScratch, false,
-                                       policy);
-  BottleneckOptions gray_opts;
-  gray_opts.side =
-      strategy_options(FeasibilityMethod::kAuto,
-                       SideSweepStrategy::kGrayIncremental, true, policy);
-  BottleneckOptions bit_opts;
-  bit_opts.side = strategy_options(FeasibilityMethod::kAuto,
-                                   SideSweepStrategy::kBitParallel, false,
-                                   policy);
+  // End-to-end cross-check: the decomposition (kAuto assignments, the
+  // sink side swept too) against the same accumulation over arrays the
+  // oracle built. Identical arrays give an identical reliability.
+  const double r_sweep =
+      reliability_bottleneck(g.net, demand, partition).reliability;
+  BottleneckArtifacts oracle_artifacts =
+      build_bottleneck_artifacts(g.net, demand, partition);
+  std::uint64_t unused_calls = 0;
+  oracle_artifacts.array_s = slab_form(
+      scratch_oracle(oracle_artifacts.side_s, oracle_artifacts.assignments,
+                     d, unused_calls),
+      oracle_artifacts.side_s.view.num_edges());
+  oracle_artifacts.array_t = slab_form(
+      scratch_oracle(oracle_artifacts.side_t, oracle_artifacts.assignments,
+                     d, unused_calls),
+      oracle_artifacts.side_t.view.num_edges());
   const double r_scratch =
-      reliability_bottleneck(g.net, demand, partition, scratch_opts)
+      accumulate_bottleneck(oracle_artifacts,
+                            gather_bottleneck_probabilities(g.net, partition,
+                                                            oracle_artifacts))
           .reliability;
-  const double r_gray =
-      reliability_bottleneck(g.net, demand, partition, gray_opts).reliability;
-  const double r_bit =
-      reliability_bottleneck(g.net, demand, partition, bit_opts).reliability;
-  const double delta = std::max(std::abs(r_scratch - r_gray),
-                                std::abs(r_scratch - r_bit));
-  std::cout << "\nreliability scratch=" << r_scratch << " gray=" << r_gray
-            << " bit=" << r_bit << " |delta|=" << delta
-            << (delta < 1e-12 ? " (ok)" : " (DRIFT)") << "\n";
+  const double delta = std::abs(r_scratch - r_sweep);
+  std::cout << "\nreliability scratch=" << r_scratch << " sweep=" << r_sweep
+            << " |delta|=" << delta << (delta == 0.0 ? " (ok)" : " (DRIFT)")
+            << "\n";
 
   // Zero-copy regression guard: trace one decomposition run and count the
   // span markers. The side views must come from NetworkView construction
@@ -229,7 +155,7 @@ int main(int argc, char** argv) {
   // ("induced_subgraph" spans) — CI diffs these counts via bench_compare.
   Tracer::set_enabled(true);
   Tracer::clear();
-  reliability_bottleneck(g.net, demand, partition, gray_opts);
+  reliability_bottleneck(g.net, demand, partition);
   const std::string trace = Tracer::export_chrome_json();
   Tracer::set_enabled(false);
   const std::uint64_t subgraph_copies =
@@ -242,6 +168,8 @@ int main(int argc, char** argv) {
             << " FlowNetwork copies" << (zero_copy ? " (ok)" : " (COPYING)")
             << "\n";
 
+  // Metric keys keep the per_assignment. prefix of earlier records, so
+  // bench_compare still diffs the sweep's wall time across commits.
   bench::BenchReport report("side_array_sweep");
   report.metric("side_links", static_cast<std::int64_t>(side.view.num_edges()))
       .metric("assignments", static_cast<std::uint64_t>(forward.size()))
@@ -250,30 +178,21 @@ int main(int argc, char** argv) {
       .metric("threads", static_cast<std::int64_t>(threads))
       .metric("reliability_delta", delta)
       .metric("trace.subgraph_copies", subgraph_copies)
-      .metric("trace.view_builds", view_builds);
-  for (const Row& r : rows) {
-    report.metric(r.engine + ".scratch_ms", r.scratch_ms)
-        .metric(r.engine + ".gray_ms", r.gray_ms)
-        .metric(r.engine + ".gray_pruned_ms", r.pruned_ms)
-        .metric(r.engine + ".bit_ms", r.bit_ms)
-        .metric(r.engine + ".scratch_calls", r.scratch_calls)
-        .metric(r.engine + ".gray_calls", r.gray_calls)
-        .metric(r.engine + ".gray_pruned_calls", r.pruned_calls)
-        .metric(r.engine + ".bit_calls", r.bit_calls)
-        .metric(r.engine + ".pruned_decisions", r.pruned_decisions)
-        .metric(r.engine + ".lanes_decided_wordwise", r.lanes_wordwise)
-        .metric(r.engine + ".scalar_residue", r.scalar_residue)
-        .metric(r.engine + ".speedup", r.scratch_ms / r.pruned_ms)
-        .metric(r.engine + ".bit_speedup_vs_gray", r.pruned_ms / r.bit_ms)
-        .metric(r.engine + ".wordwise_coverage", r.wordwise_coverage())
-        .metric(r.engine + ".call_reduction",
-                static_cast<double>(r.scratch_calls) /
-                    static_cast<double>(r.pruned_calls))
-        .metric(r.engine + ".identical", r.identical);
-  }
+      .metric("trace.view_builds", view_builds)
+      .metric("per_assignment.scratch_ms", scratch_ms)
+      .metric("per_assignment.bit_ms", sweep_ms)
+      .metric("per_assignment.scratch_calls", scratch_calls)
+      .metric("per_assignment.bit_calls", stats.maxflow_calls())
+      .metric("per_assignment.lanes_decided_wordwise",
+              stats.lanes_decided_wordwise())
+      .metric("per_assignment.scalar_residue", stats.scalar_residue())
+      .metric("per_assignment.bit_speedup_vs_scratch", speedup)
+      .metric("per_assignment.wordwise_coverage", coverage)
+      .metric("per_assignment.call_reduction",
+              static_cast<double>(scratch_calls) /
+                  static_cast<double>(stats.maxflow_calls()))
+      .metric("per_assignment.identical", identical);
   const bool json_ok = bench::write_if_requested(report, args);
 
-  bool ok = json_ok && delta < 1e-12 && zero_copy;
-  for (const Row& r : rows) ok = ok && r.identical;
-  return ok ? 0 : 1;
+  return json_ok && identical && delta == 0.0 && zero_copy ? 0 : 1;
 }

@@ -23,7 +23,6 @@ namespace streamrel {
 
 struct BottleneckOptions {
   AssignmentOptions assignments{};
-  SideArrayOptions side{};
   AccumulationStrategy accumulation = AccumulationStrategy::kAuto;
 };
 
@@ -45,10 +44,6 @@ struct BottleneckResult {
   }
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
-  }
-  /// Side-array feasibility answers obtained by monotonicity alone.
-  std::uint64_t pruned_decisions() const {
-    return telemetry.counter_or(telemetry_keys::kPrunedDecisions);
   }
   /// Single-link incremental repairs.
   std::uint64_t engine_toggles() const {

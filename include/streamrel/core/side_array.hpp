@@ -14,14 +14,17 @@
 //   sink side: mirror image (y_i supplies for positive entries, y_i
 //   demands for negative ones, t -> T1 carries d).
 //
-// Two feasibility engines produce identical arrays:
-//   * kPerAssignment — one bounded max-flow per (configuration,
-//     assignment) pair, exactly the paper's procedure;
-//   * kPolymatroid  — forward-only fast path: per configuration, compute
-//     f(Q) = maxflow(anchor -> endpoints of Q) for the 2^k - 1 non-empty
-//     subsets Q of bottleneck links; by Gale's theorem a >= 0 is
-//     routable iff sum_{i in Q} a_i <= f(Q) for every Q, so all |D|
-//     assignments are then decided with arithmetic only.
+// build_side_array answers every (configuration, assignment) question of
+// that procedure, but one 64-configuration slab at a time: the Gray walk
+// over the configurations is held transposed (one word per side link),
+// and word-wide kernels decide whole lanes at once. Feasibility is
+// monotone in the alive set, so a flow's support edges certify YES and a
+// saturated cut's dead edges certify NO wherever they stay so; required
+// flow 1 is plain reachability; and an anchor cut too thin for the
+// demand is NO. Only the residue the kernels leave open consults an
+// incremental max-flow engine, whose fresh certificates then re-run
+// word-wide. SideMaskEvaluator below is the paper's scalar procedure,
+// one bounded max-flow per question; the two give identical arrays.
 
 #include <cstdint>
 #include <span>
@@ -61,55 +64,6 @@ SideProblem make_side_problem(const FlowNetwork& net, const FlowDemand& demand,
                               const BottleneckPartition& partition,
                               bool source_side);
 
-enum class FeasibilityMethod {
-  kPerAssignment,
-  kPolymatroid,
-  kAuto,  ///< polymatroid when legal (forward-only) and |D| > 2^k
-};
-
-/// How build_side_array walks the 2^|E_side| configurations.
-enum class SideSweepStrategy {
-  /// The paper's procedure: one from-scratch bounded max-flow per
-  /// (configuration, assignment) pair — resp. per (configuration, subset)
-  /// probe on the polymatroid path.
-  kScratch,
-  /// Gray-code walk with one persistent IncrementalMaxFlow engine per
-  /// assignment (resp. per subset Q): adjacent configurations differ in a
-  /// single link, so each step repairs the existing flow instead of
-  /// re-solving. Engines synchronise lazily, and monotone pruning (see
-  /// SideArrayOptions::monotone_pruning) answers most queries without
-  /// touching a solver at all. Bitwise-identical output to kScratch.
-  kGrayIncremental,
-  /// Slab sweep: the Gray walk is cut into 64-rank slabs held in the
-  /// BitSlabs transposed layout, and word-wide kernels decide whole
-  /// lanes of configurations at once — certificate word-ANDs from a
-  /// small per-assignment certificate bank, a 64-lane bit-parallel BFS
-  /// when feasibility degenerates to connectivity (required flow 1), and
-  /// a bit-sliced popcount of the anchor cut against the demand. Only
-  /// the residue the kernels cannot decide consults a (lazily created)
-  /// incremental engine, whose fresh certificate immediately re-runs
-  /// word-wide. Certificates are intrinsic to this strategy, so it
-  /// ignores SideArrayOptions::monotone_pruning. Per-assignment
-  /// feasibility only; a polymatroid request delegates to
-  /// kGrayIncremental. Bitwise-identical output to kScratch.
-  kBitParallel,
-  /// kBitParallel (per-assignment) for arrays of >= 1024 configurations,
-  /// kGrayIncremental for polymatroid feasibility at that size, kScratch
-  /// for tiny arrays (where engine setup dominates).
-  kAuto,
-};
-
-struct SideArrayOptions {
-  FeasibilityMethod feasibility = FeasibilityMethod::kAuto;
-  bool parallel = true;  ///< OpenMP over Gray-aligned configuration shards
-  SideSweepStrategy sweep = SideSweepStrategy::kAuto;
-  /// Gray path only: exploit monotonicity of feasibility in the alive-set.
-  /// An assignment admitted by a subset of the current configuration is
-  /// admitted now; one rejected by a superset is rejected now — either way
-  /// the solver (and the engine sync) is skipped.
-  bool monotone_pruning = true;
-};
-
 /// Cost counters for one build_side_array run: a thin view over a
 /// Telemetry subtree (shards are merged in shard order, so the counters
 /// are deterministic and independent of the OpenMP thread count).
@@ -120,20 +74,16 @@ struct SideArrayStats {
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
   }
-  /// Feasibility answers produced by monotonicity alone.
-  std::uint64_t pruned_decisions() const {
-    return telemetry.counter_or(telemetry_keys::kPrunedDecisions);
-  }
-  /// Single-link repairs applied by Gray engines.
+  /// Single-link repairs applied by the residue engines.
   std::uint64_t engine_toggles() const {
     return telemetry.counter_or(telemetry_keys::kEngineToggles);
   }
-  /// kBitParallel: per-lane decisions made by word-wide kernels
-  /// (certificate AND + 64-lane BFS + bit-sliced cut popcount combined).
+  /// Per-lane decisions made by word-wide kernels (certificate AND +
+  /// 64-lane BFS + bit-sliced cut popcount combined).
   std::uint64_t lanes_decided_wordwise() const {
     return telemetry.counter_or(telemetry_keys::kLanesWordwise);
   }
-  /// kBitParallel: decisions that still consulted a scalar engine.
+  /// Decisions that still consulted a scalar engine.
   std::uint64_t scalar_residue() const {
     return telemetry.counter_or(telemetry_keys::kScalarResidue);
   }
@@ -147,24 +97,19 @@ struct SideArrayStats {
 /// The paper's array: element m is the mask of assignments realized by
 /// side failure configuration m. Size 2^|side edges|.
 ///
+/// Arrays of 1024 or more configurations are cut into Gray-aligned
+/// shards swept under OpenMP. The shard geometry is fixed by the array
+/// size, never by the thread count, so the array and every counter are
+/// identical on 1 thread or 64; ExecContext::max_threads caps the pool.
 /// With a context, the sweep polls for deadline/cancellation every
-/// ExecContext::kPollStride configurations and honors the thread cap; a
-/// stop raises ExecInterrupted (after any parallel region has joined) —
-/// callers above the engine layer never see it.
+/// ExecContext::kPollStride configurations; a stop raises ExecInterrupted
+/// (after any parallel region has joined) — callers above the engine
+/// layer never see it.
 std::vector<Mask> build_side_array(const SideProblem& side,
                                    const AssignmentSet& assignments,
                                    Capacity demand_rate,
-                                   const SideArrayOptions& options,
-                                   SideArrayStats* stats,
+                                   SideArrayStats* stats = nullptr,
                                    const ExecContext* ctx = nullptr);
-
-/// Convenience overload keeping the historical signature: only the
-/// max-flow call counter is reported.
-std::vector<Mask> build_side_array(const SideProblem& side,
-                                   const AssignmentSet& assignments,
-                                   Capacity demand_rate,
-                                   const SideArrayOptions& options = {},
-                                   std::uint64_t* maxflow_calls = nullptr);
 
 /// The same array in its rank-ordered resting form (see SlabMaskTable):
 /// what BottleneckArtifacts carries and the fold consumes with unit
@@ -173,8 +118,7 @@ std::vector<Mask> build_side_array(const SideProblem& side,
 SlabMaskTable build_side_array_slab(const SideProblem& side,
                                     const AssignmentSet& assignments,
                                     Capacity demand_rate,
-                                    const SideArrayOptions& options,
-                                    SideArrayStats* stats,
+                                    SideArrayStats* stats = nullptr,
                                     const ExecContext* ctx = nullptr);
 
 /// A side array folded into a sparse probability distribution over
@@ -188,7 +132,7 @@ SlabMaskTable build_side_array_slab(const SideProblem& side,
 /// probabilities then add into their palette slot's bucket and into a
 /// Neumaier total, both in rank order. Every IEEE operation is fixed by
 /// the masks and the probabilities, so the result is bitwise identical
-/// across sweep strategies, index widths and host CPUs.
+/// across thread counts, index widths and host CPUs.
 struct MaskDistribution {
   std::vector<std::pair<Mask, double>> buckets;
   double total = 0.0;  ///< sum of bucket probabilities (== 1 up to rounding)
@@ -207,9 +151,11 @@ MaskDistribution bucket_side_array(const SideProblem& side,
                                    std::span<const double> failure_probs);
 
 /// Point evaluator for single side configurations: which assignments does
-/// ONE failure configuration realize? Used by the sampling-based hybrid
-/// estimator, which cannot afford the full 2^|E_side| array. Reuses its
-/// residual graph and solver across calls. The referenced side problem
+/// ONE failure configuration realize? The paper's scalar procedure, one
+/// bounded max-flow per assignment. Used by the sampling-based hybrid
+/// estimator, which cannot afford the full 2^|E_side| array, and by the
+/// tests as the oracle for build_side_array. Reuses its residual graph
+/// and solver across calls. The referenced side problem
 /// and assignment set must outlive the evaluator.
 class SideMaskEvaluator {
  public:

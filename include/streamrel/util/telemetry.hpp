@@ -24,17 +24,16 @@ namespace streamrel {
 namespace telemetry_keys {
 inline constexpr std::string_view kConfigurations = "configurations";
 inline constexpr std::string_view kMaxflowCalls = "maxflow_calls";
-inline constexpr std::string_view kPrunedDecisions = "pruned_decisions";
 inline constexpr std::string_view kEngineToggles = "engine_toggles";
 inline constexpr std::string_view kStatesVisited = "states_visited";
 inline constexpr std::string_view kSamples = "samples";
 inline constexpr std::string_view kCandidates = "candidates";
 inline constexpr std::string_view kLinksReduced = "links_reduced";
 inline constexpr std::string_view kAssignments = "assignments";
-// Bit-parallel side-array sweep (SideSweepStrategy::kBitParallel):
-// per-lane feasibility decisions made by word-wide kernels vs the scalar
-// residue that still consulted an incremental engine. The kLanes*
-// breakdown partitions kLanesWordwise by kernel.
+// Bit-parallel side-array sweep (build_side_array): per-lane
+// feasibility decisions made by word-wide kernels vs the scalar residue
+// that still consulted an incremental engine. The kLanes* breakdown
+// partitions kLanesWordwise by kernel.
 inline constexpr std::string_view kLanesWordwise = "lanes_decided_wordwise";
 inline constexpr std::string_view kLanesCertificate = "lanes_certificate";
 inline constexpr std::string_view kLanesConnectivity = "lanes_connectivity";

@@ -31,7 +31,12 @@
 /// `algorithm` option fields and parameters and the ThroughputOptions,
 /// PolynomialOptions and MulticastOptions structs. Wire lines longer
 /// than kMaxWireLineBytes (api/wire.hpp) get one parse_error.
-#define STREAMREL_API_VERSION 7
+/// v8: one side-array sweep — FeasibilityMethod, SideSweepStrategy,
+/// SideArrayOptions and BottleneckOptions::side are gone, as are the
+/// `options` parameter of build_side_array / build_side_array_slab, the
+/// maxflow_calls-pointer overload of build_side_array, the
+/// pruned_decisions telemetry key and both pruned_decisions() accessors.
+#define STREAMREL_API_VERSION 8
 
 namespace streamrel {
 

@@ -82,7 +82,7 @@ BottleneckArtifacts build_bottleneck_artifacts(
       TraceSpan span("side_array_s", "phase");
       artifacts.array_s =
           build_side_array_slab(artifacts.side_s, artifacts.assignments,
-                                demand.rate, options.side, &stats_s, ctx);
+                                demand.rate, &stats_s, ctx);
       side_tel_s = std::move(stats_s.telemetry);
     }
     if (reuse_t) {
@@ -96,7 +96,7 @@ BottleneckArtifacts build_bottleneck_artifacts(
       TraceSpan span("side_array_t", "phase");
       artifacts.array_t =
           build_side_array_slab(artifacts.side_t, artifacts.assignments,
-                                demand.rate, options.side, &stats_t, ctx);
+                                demand.rate, &stats_t, ctx);
       side_tel_t = std::move(stats_t.telemetry);
     }
     artifacts.telemetry.merge(side_tel_s);

@@ -254,9 +254,6 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     return eps;
   };
 
-  SideArrayOptions side_opts;
-  side_opts.feasibility = FeasibilityMethod::kPerAssignment;
-
   SideArrayStats side_stats;  // aggregated over the two side builds
   std::uint64_t middle_calls = 0;
   std::uint64_t configurations = 0;
@@ -266,7 +263,7 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
         snapshot, demand, boundaries.front().partition, /*source_side=*/true);
     const SlabMaskTable first_array =
         build_side_array_slab(first_side, boundaries.front().assignments,
-                              demand.rate, side_opts, &side_stats, ctx);
+                              demand.rate, &side_stats, ctx);
     configurations += first_array.size();
     StateMap state;
     for (const auto& [mask, p] :
@@ -296,7 +293,7 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
         snapshot, demand, boundaries.back().partition, /*source_side=*/false);
     const SlabMaskTable last_array =
         build_side_array_slab(last_side, boundaries.back().assignments,
-                              demand.rate, side_opts, &side_stats, ctx);
+                              demand.rate, &side_stats, ctx);
     configurations += last_array.size();
     const MaskDistribution final_dist =
         bucket_side_array(last_side, last_array);

@@ -77,12 +77,9 @@ namespace {
 // SideArrayStats telemetry once per shard, in shard order.
 struct SweepCounters {
   std::uint64_t maxflow_calls = 0;
-  std::uint64_t pruned_decisions = 0;
   std::uint64_t engine_toggles = 0;
-  // Bit-parallel sweep: per-lane decisions by kernel, plus the scalar
-  // residue that consulted an engine. Zero on the other strategies (the
-  // keys are still flushed, so telemetry trees stay structurally
-  // comparable across strategies and thread counts).
+  // Per-lane decisions by kernel, plus the scalar residue that consulted
+  // an engine.
   std::uint64_t lanes_certificate = 0;
   std::uint64_t lanes_connectivity = 0;
   std::uint64_t lanes_popcount = 0;
@@ -90,7 +87,6 @@ struct SweepCounters {
 
   void merge(const SweepCounters& other) noexcept {
     maxflow_calls += other.maxflow_calls;
-    pruned_decisions += other.pruned_decisions;
     engine_toggles += other.engine_toggles;
     lanes_certificate += other.lanes_certificate;
     lanes_connectivity += other.lanes_connectivity;
@@ -100,7 +96,6 @@ struct SweepCounters {
 
   void flush(Telemetry& telemetry) const {
     telemetry.counter(telemetry_keys::kMaxflowCalls) += maxflow_calls;
-    telemetry.counter(telemetry_keys::kPrunedDecisions) += pruned_decisions;
     telemetry.counter(telemetry_keys::kEngineToggles) += engine_toggles;
     telemetry.counter(telemetry_keys::kLanesWordwise) +=
         lanes_certificate + lanes_connectivity + lanes_popcount;
@@ -125,9 +120,9 @@ bool poll_stop(const ExecContext* ctx, std::atomic<bool>& aborted) {
 
 // Shared super-arc layout: index 0 is the anchor arc, then per crossing
 // edge i an "in" arc S0 -> endpoint (index 1 + 2i) and an "out" arc
-// endpoint -> T1 (index 2 + 2i). All arcs start at capacity 0; the
-// configure_* helpers below set the pristine capacities, which take
-// effect at the next reset (scratch path) or engine attach (Gray path).
+// endpoint -> T1 (index 2 + 2i). All arcs start at capacity 0;
+// apply_assignment_plan sets the pristine capacities, which take effect
+// at the next reset (point evaluator) or engine attach (residue engine).
 struct SuperTerminals {
   NodeId source = kInvalidNode;
   NodeId sink = kInvalidNode;
@@ -152,8 +147,8 @@ SuperTerminals add_side_super_arcs(ConfigResidual& residual,
 
 // Resolved super-arc capacities for one assignment: what each arc of the
 // add_side_super_arcs layout is set to, plus the flow total that signals
-// feasibility. The bit-parallel kernels read the plan directly (seed /
-// target sets, anchor-cut bypass); the scalar paths apply it to a
+// feasibility. The word-wide kernels read the plan directly (seed /
+// target sets, anchor-cut bypass); the scalar engines apply it to a
 // residual graph.
 struct SuperArcPlan {
   Capacity anchor_cap = 0;       ///< super arc 0 (S0 -> anchor or mirror)
@@ -192,195 +187,34 @@ void apply_assignment_plan(ConfigResidual& residual,
   }
 }
 
-// Configures the super arcs for one assignment; returns the flow total
-// that signals feasibility.
-Capacity configure_assignment_arcs(ConfigResidual& residual,
-                                   const SideProblem& side,
-                                   const Assignment& a, Capacity d) {
-  const SuperArcPlan plan = plan_assignment_arcs(side, a, d);
-  apply_assignment_plan(residual, plan);
-  return plan.required;
-}
-
-// Configures f(Q) probing for the polymatroid path: every endpoint in Q
-// gets capacity `d` on its demand-facing arc.
-void configure_subset_arcs(ConfigResidual& residual, const SideProblem& side,
-                           Mask q, Capacity d) {
-  residual.set_super_arc(0, d, 0);
-  for (std::size_t i = 0; i < side.endpoints.size(); ++i) {
-    const std::size_t in_arc = 1 + 2 * i;
-    const std::size_t out_arc = 2 + 2 * i;
-    const bool in_q = test_bit(q, static_cast<int>(i));
-    if (side.is_source_side) {
-      residual.set_super_arc(in_arc, 0, 0);
-      residual.set_super_arc(out_arc, in_q ? d : 0, 0);
-    } else {
-      residual.set_super_arc(in_arc, in_q ? d : 0, 0);
-      residual.set_super_arc(out_arc, 0, 0);
-    }
-  }
-}
-
-// Per assignment, per subset Q: sum of usages inside Q (Gale's condition
-// data for the polymatroid path).
-std::vector<std::vector<Capacity>> subset_usage_sums(
-    const AssignmentSet& assignments, Mask subsets) {
-  std::vector<std::vector<Capacity>> sums(
-      static_cast<std::size_t>(assignments.size()),
-      std::vector<Capacity>(static_cast<std::size_t>(subsets), 0));
-  for (int j = 0; j < assignments.size(); ++j) {
-    const auto& usage =
-        assignments.assignments[static_cast<std::size_t>(j)].usage;
-    for (Mask q = 1; q < subsets; ++q) {
-      const int low = lowest_bit(q);
-      sums[static_cast<std::size_t>(j)][static_cast<std::size_t>(q)] =
-          sums[static_cast<std::size_t>(j)][static_cast<std::size_t>(q & (q - 1))] +
-          usage[static_cast<std::size_t>(low)];
-    }
-  }
-  return sums;
-}
-
-// ---------------------------------------------------------------------------
-// Scratch sweeps — the paper's procedure, one reset + solve per query.
-
-struct SideEvaluator {
-  explicit SideEvaluator(const SideProblem& side)
-      : side_(&side),
-        residual_(side.view),
-        terminals_(add_side_super_arcs(residual_, side)) {}
-
-  Capacity configure(const Assignment& a, Capacity d) {
-    return configure_assignment_arcs(residual_, *side_, a, d);
-  }
-
-  void configure_subset(Mask q, Capacity d) {
-    configure_subset_arcs(residual_, *side_, q, d);
-  }
-
-  Capacity solve(Mask config, Capacity limit) {
-    residual_.reset(config);
-    return solver_.solve(residual_.graph(), terminals_.source,
-                         terminals_.sink, limit);
-  }
-
-  const SideProblem* side_;
-  ConfigResidual residual_;
-  DinicSolver solver_;
-  SuperTerminals terminals_;
-};
-
-void sweep_per_assignment(const SideProblem& side,
-                          const AssignmentSet& assignments, Capacity d,
-                          Mask first, Mask last, std::vector<Mask>& array,
-                          SweepCounters& stats, const ExecContext* ctx,
-                          std::atomic<bool>& aborted) {
-  SideEvaluator eval(side);
-  ProgressMarker progress(exec_progress(ctx));
-  const std::uint64_t span = last - first + 1;
-  const std::uint64_t passes = static_cast<std::uint64_t>(assignments.size());
-  for (int j = 0; j < assignments.size(); ++j) {
-    const Capacity required =
-        eval.configure(assignments.assignments[static_cast<std::size_t>(j)],
-                       d);
-    for (Mask config = first;; ++config) {
-      if (((config - first) & (ExecContext::kPollStride - 1)) == 0) {
-        if (poll_stop(ctx, aborted)) return;
-        // This sweep walks the range once PER assignment; progress counts
-        // each configuration once, pro-rated over the passes.
-        progress.at((static_cast<std::uint64_t>(j) * span +
-                     (config - first)) /
-                    passes);
-      }
-      ++stats.maxflow_calls;
-      STREAMREL_TRACE_SAMPLED_SPAN(mf_span, stats.maxflow_calls, "maxflow",
-                                   "maxflow");
-      if (eval.solve(config, required) >= required) {
-        array[static_cast<std::size_t>(config)] |= bit(j);
-      }
-      if (config == last) break;
-    }
-  }
-  progress.at(span);
-}
-
-void sweep_polymatroid(const SideProblem& side,
-                       const AssignmentSet& assignments, Capacity d,
-                       Mask first, Mask last, std::vector<Mask>& array,
-                       SweepCounters& stats, const ExecContext* ctx,
-                       std::atomic<bool>& aborted) {
-  const int k = static_cast<int>(side.endpoints.size());
-  const Mask subsets = Mask{1} << k;
-  const std::vector<std::vector<Capacity>> subset_sums =
-      subset_usage_sums(assignments, subsets);
-
-  SideEvaluator eval(side);
-  ProgressMarker progress(exec_progress(ctx));
-  std::vector<Capacity> f(static_cast<std::size_t>(subsets), 0);
-  for (Mask config = first;; ++config) {
-    if (((config - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) return;
-      progress.at(config - first);
-    }
-    for (Mask q = 1; q < subsets; ++q) {
-      eval.configure_subset(q, d);
-      ++stats.maxflow_calls;
-      STREAMREL_TRACE_SAMPLED_SPAN(mf_span, stats.maxflow_calls, "maxflow",
-                                   "maxflow");
-      f[static_cast<std::size_t>(q)] = eval.solve(config, d);
-    }
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      bool ok = true;
-      for (Mask q = 1; q < subsets && ok; ++q) {
-        ok = subset_sums[static_cast<std::size_t>(j)]
-                        [static_cast<std::size_t>(q)] <=
-             f[static_cast<std::size_t>(q)];
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    if (config == last) break;
-  }
-  progress.at(last - first + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Gray-code incremental sweeps.
-//
-// One persistent IncrementalMaxFlow engine per feasibility question
-// (per assignment, or per subset Q on the polymatroid path). The walk
-// visits configurations as gray_code(rank) for rank in [first, last], so
-// consecutive configurations differ in exactly one link and a consulted
-// engine repairs one edge instead of re-solving. Engines synchronise
-// LAZILY: monotone pruning answers a query from the engine's stale state
-// whenever feasibility at a subset (yes) or superset (no) already decides
-// it, and only a query the pruning cannot answer pays for the catch-up
-// toggles. Output is bitwise-identical to the scratch sweeps.
-
+// The residue engine: one persistent IncrementalMaxFlow per assignment,
+// created at the first configuration the word-wide kernels leave open
+// and synced along the Gray walk from then on, so a sync repairs the
+// links that toggled instead of re-solving. Each verdict carries a
+// certificate: the support certificate keeps a YES valid at any config
+// that preserves the carrying edges; the cut certificate keeps a NO
+// (the saturated cut's capacity is below the requirement) valid at any
+// config that does not revive a dead crossing edge.
 struct GrayEngine {
-  explicit GrayEngine(const NetworkView& view) : residual(view) {}
+  GrayEngine(const SideProblem& side, const SuperArcPlan& plan, Mask config)
+      : residual(side.view), terminals(add_side_super_arcs(residual, side)) {
+    apply_assignment_plan(residual, plan);
+    flow = std::make_unique<IncrementalMaxFlow>(
+        residual, terminals.source, terminals.sink, plan.required, config);
+    refresh();
+  }
 
   ConfigResidual residual;
   SuperTerminals terminals;
   std::unique_ptr<IncrementalMaxFlow> flow;
-  // Cached verdict for state flow->alive_mask(), with certificates that
-  // extend it well beyond subset/superset states (see refresh()):
-  Capacity value = 0;  ///< bounded flow value at the cached state
-  bool admits = false; ///< value >= the engine's target
+  // Cached verdict for state flow->alive_mask(), with its certificates:
+  bool admits = false; ///< bounded flow value >= the requirement
   Mask support = 0;    ///< side edges the cached flow routes through
   Mask cut = 0;        ///< saturated-cut crossing edges (when !admits)
 
-  /// Re-reads the verdict and (when pruning consults them) its
-  /// certificates after a sync. The support certificate keeps the
-  /// verdict's LOWER bound valid at any config that preserves the
-  /// carrying edges; the cut certificate keeps the UPPER bound (the
-  /// saturated cut's capacity == value) valid at any config that does not
-  /// revive a dead crossing edge.
-  void refresh(bool with_certificates) {
-    value = flow->flow_value();
+  /// Re-reads the verdict and its certificates after a sync.
+  void refresh() {
     admits = flow->admits();
-    if (!with_certificates) return;
     support = flow->support_mask();
     cut = admits ? Mask{0} : flow->cut_mask();
   }
@@ -391,180 +225,8 @@ struct GrayEngine {
   }
 };
 
-void sweep_per_assignment_gray(const SideProblem& side,
-                               const AssignmentSet& assignments, Capacity d,
-                               bool pruning, Mask first, Mask last,
-                               std::vector<Mask>& array, SweepCounters& stats,
-                               const ExecContext* ctx,
-                               std::atomic<bool>& aborted) {
-  const Mask start_config = gray_code(first);
-  std::vector<std::unique_ptr<GrayEngine>> engines;
-  engines.reserve(static_cast<std::size_t>(assignments.size()));
-  for (int j = 0; j < assignments.size(); ++j) {
-    auto e = std::make_unique<GrayEngine>(side.view);
-    e->terminals = add_side_super_arcs(e->residual, side);
-    const Capacity required = configure_assignment_arcs(
-        e->residual, side, assignments.assignments[static_cast<std::size_t>(j)],
-        d);
-    e->flow = std::make_unique<IncrementalMaxFlow>(
-        e->residual, e->terminals.source, e->terminals.sink, required,
-        start_config);
-    e->refresh(pruning);
-    engines.push_back(std::move(e));
-  }
-
-  ProgressMarker progress(exec_progress(ctx));
-  std::uint64_t sync_ops = 0;
-  bool stopped = false;
-  for (Mask rank = first;; ++rank) {
-    if (((rank - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) {
-        stopped = true;
-        break;  // still collect engine counters below
-      }
-      progress.at(rank - first);
-    }
-    const Mask config = gray_code(rank);
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      GrayEngine& e = *engines[static_cast<std::size_t>(j)];
-      const Mask state = e.flow->alive_mask();
-      bool ok;
-      if (state == config) {
-        ok = e.admits;
-      } else if (pruning && e.admits && (e.support & ~config) == 0) {
-        // The cached flow's carrying edges are all alive: the same flow
-        // still routes the demand, whatever else toggled.
-        ok = true;
-        ++stats.pruned_decisions;
-      } else if (pruning && !e.admits && (config & e.cut & ~state) == 0) {
-        // No dead crossing edge of the cached saturated cut was revived:
-        // the cut still bounds the max-flow below the requirement.
-        ok = false;
-        ++stats.pruned_decisions;
-      } else {
-        ++sync_ops;
-        STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync",
-                                     "maxflow");
-        e.flow->sync_to(config);
-        e.refresh(pruning);
-        ok = e.admits;
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    if (rank == last) break;
-  }
-  if (!stopped) progress.at(last - first + 1);
-  for (const auto& e : engines) e->collect(stats);
-}
-
-void sweep_polymatroid_gray(const SideProblem& side,
-                            const AssignmentSet& assignments, Capacity d,
-                            bool pruning, Mask first, Mask last,
-                            std::vector<Mask>& array, SweepCounters& stats,
-                            const ExecContext* ctx,
-                            std::atomic<bool>& aborted) {
-  const int k = static_cast<int>(side.endpoints.size());
-  const Mask subsets = Mask{1} << k;
-  const std::vector<std::vector<Capacity>> subset_sums =
-      subset_usage_sums(assignments, subsets);
-
-  const Mask start_config = gray_code(first);
-  // Engine q (1 <= q < subsets) maintains f(Q) = min(d, maxflow to the
-  // endpoints of Q); index 0 stays empty.
-  std::vector<std::unique_ptr<GrayEngine>> engines(
-      static_cast<std::size_t>(subsets));
-  for (Mask q = 1; q < subsets; ++q) {
-    auto e = std::make_unique<GrayEngine>(side.view);
-    e->terminals = add_side_super_arcs(e->residual, side);
-    configure_subset_arcs(e->residual, side, q, d);
-    e->flow = std::make_unique<IncrementalMaxFlow>(
-        e->residual, e->terminals.source, e->terminals.sink, d, start_config);
-    e->refresh(pruning);
-    engines[static_cast<std::size_t>(q)] = std::move(e);
-  }
-
-  // f(Q) for the configuration at `rank`, consulting engine Q lazily. The
-  // cached value v carries two certificates: while the cached flow's
-  // carrying edges stay alive, f >= v; while no dead edge of the cached
-  // saturated cut is revived, f <= v (the cut's capacity IS v). At the cap
-  // (v >= d) the lower bound alone decides; below it both together pin
-  // f(config) = v exactly without a sync.
-  std::uint64_t sync_ops = 0;
-  const auto f_of = [&](Mask q, Mask config) -> Capacity {
-    GrayEngine& e = *engines[static_cast<std::size_t>(q)];
-    const Mask state = e.flow->alive_mask();
-    if (state == config) return e.value;
-    if (pruning && (e.support & ~config) == 0) {
-      if (e.value >= d) {
-        ++stats.pruned_decisions;
-        return d;
-      }
-      if ((config & e.cut & ~state) == 0) {
-        ++stats.pruned_decisions;
-        return e.value;
-      }
-    }
-    ++sync_ops;
-    STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync", "maxflow");
-    e.flow->sync_to(config);
-    e.refresh(pruning);
-    return e.value;
-  };
-
-  ProgressMarker progress(exec_progress(ctx));
-  bool stopped = false;
-  Mask realized_prev = 0;
-  for (Mask rank = first;; ++rank) {
-    if (((rank - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) {
-        stopped = true;
-        break;  // still collect engine counters below
-      }
-      progress.at(rank - first);
-    }
-    const Mask config = gray_code(rank);
-    // Assignment-level monotone pruning off the previous Gray step: a
-    // link turned ON keeps every realized assignment realized; a link
-    // turned OFF keeps every unrealized assignment unrealized.
-    Mask decided = 0;
-    Mask decided_values = 0;
-    if (pruning && rank != first) {
-      if (test_bit(config, gray_flip_bit(rank - 1))) {
-        decided = realized_prev;
-        decided_values = realized_prev;
-      } else {
-        decided = ~realized_prev;
-      }
-    }
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      bool ok;
-      if (test_bit(decided, j)) {
-        ok = test_bit(decided_values, j);
-        ++stats.pruned_decisions;
-      } else {
-        ok = true;
-        const auto& sums = subset_sums[static_cast<std::size_t>(j)];
-        for (Mask q = 1; q < subsets && ok; ++q) {
-          ok = sums[static_cast<std::size_t>(q)] <= f_of(q, config);
-        }
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    realized_prev = realized;
-    if (rank == last) break;
-  }
-  if (!stopped) progress.at(last - first + 1);
-  for (Mask q = 1; q < subsets; ++q) {
-    engines[static_cast<std::size_t>(q)]->collect(stats);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Bit-parallel slab sweep (SideSweepStrategy::kBitParallel).
+// Bit-parallel slab sweep.
 //
 // The Gray walk is processed in 64-rank slabs held transposed in a
 // BitSlabs window (one word per side edge, bit L = "alive at rank
@@ -587,8 +249,9 @@ void sweep_polymatroid_gray(const SideProblem& side,
 // the lowest undecided lane); the fresh certificate re-runs word-wide
 // immediately, so one sync typically clears many lanes at once. Every
 // kernel is sound and the engine is exact, so the output array is
-// bitwise identical to kScratch — only the path to each decision (and
-// hence maxflow_calls) differs.
+// bitwise identical to the paper's one-solve-per-question procedure
+// (SideMaskEvaluator) — only the path to each decision, and hence
+// maxflow_calls, differs.
 
 constexpr std::size_t kCertBankSize = 12;
 
@@ -735,13 +398,11 @@ struct SlabAssignment {
   std::unique_ptr<GrayEngine> engine;
 };
 
-void sweep_per_assignment_bitparallel(const SideProblem& side,
-                                      const AssignmentSet& assignments,
-                                      Capacity d, Mask first, Mask last,
-                                      std::vector<Mask>& array,
-                                      SweepCounters& stats,
-                                      const ExecContext* ctx,
-                                      std::atomic<bool>& aborted) {
+// Sweeps Gray ranks [first, last] into `array` (indexed by config).
+void sweep_side(const SideProblem& side, const AssignmentSet& assignments,
+                Capacity d, Mask first, Mask last, std::vector<Mask>& array,
+                SweepCounters& stats, const ExecContext* ctx,
+                std::atomic<bool>& aborted) {
   const int m = side.view.num_edges();
 
   // Flat side adjacency (view translation hoisted out of the BFS).
@@ -861,20 +522,14 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
           if (!a.engine) {
             // First residue lane of this assignment: build the engine
             // directly at `config` (the construction solve is the sync).
-            a.engine = std::make_unique<GrayEngine>(side.view);
-            a.engine->terminals =
-                add_side_super_arcs(a.engine->residual, side);
-            apply_assignment_plan(a.engine->residual, a.plan);
-            a.engine->flow = std::make_unique<IncrementalMaxFlow>(
-                a.engine->residual, a.engine->terminals.source,
-                a.engine->terminals.sink, a.plan.required, config);
+            a.engine = std::make_unique<GrayEngine>(side, a.plan, config);
           } else {
             ++sync_ops;
             STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync",
                                          "maxflow");
             a.engine->flow->sync_to(config);
+            a.engine->refresh();
           }
-          a.engine->refresh(/*with_certificates=*/true);
           WordCert cert;
           cert.admits = a.engine->admits;
           cert.mask =
@@ -912,208 +567,114 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
 std::vector<Mask> build_side_array(const SideProblem& side,
                                    const AssignmentSet& assignments,
                                    Capacity demand_rate,
-                                   const SideArrayOptions& options,
                                    SideArrayStats* stats,
                                    const ExecContext* ctx) {
   if (!assignments.fits_mask()) {
     throw std::invalid_argument("assignment set too large for mask bits");
   }
-  FeasibilityMethod method = options.feasibility;
-  if (method == FeasibilityMethod::kPolymatroid &&
-      assignments.mode != AssignmentMode::kForwardOnly) {
-    throw std::invalid_argument(
-        "polymatroid feasibility requires forward-only assignments");
-  }
-  if (method == FeasibilityMethod::kAuto) {
-    const auto k = side.endpoints.size();
-    const bool poly_cheaper =
-        k < 6 && static_cast<std::size_t>(assignments.size()) >
-                     ((std::size_t{1} << k) - 1);
-    method = (assignments.mode == AssignmentMode::kForwardOnly && poly_cheaper)
-                 ? FeasibilityMethod::kPolymatroid
-                 : FeasibilityMethod::kPerAssignment;
-  }
-
   const int m = side.view.num_edges();
   const Mask total = Mask{1} << m;
 
-  SideSweepStrategy sweep = options.sweep;
-  if (sweep == SideSweepStrategy::kAuto) {
-    // Engine setup costs |D| (resp. 2^k - 1) graph builds per shard; only
-    // worth amortizing over a reasonably large walk. Per-assignment
-    // feasibility takes the slab sweep (word-wide kernels decide most
-    // lanes without a solver); polymatroid feasibility keeps the Gray
-    // engine bank, which grows with 2^k, so very wide bottlenecks stay
-    // scratch.
-    if (total < 1024) {
-      sweep = SideSweepStrategy::kScratch;
-    } else if (method == FeasibilityMethod::kPolymatroid) {
-      sweep = side.endpoints.size() > 12 ? SideSweepStrategy::kScratch
-                                         : SideSweepStrategy::kGrayIncremental;
-    } else {
-      sweep = SideSweepStrategy::kBitParallel;
-    }
-  }
-  // The slab kernels reason about single assignments; a polymatroid
-  // request under kBitParallel falls back to the Gray engine bank.
-  if (sweep == SideSweepStrategy::kBitParallel &&
-      method == FeasibilityMethod::kPolymatroid) {
-    sweep = SideSweepStrategy::kGrayIncremental;
-  }
-
-  const char* strategy_name =
-      sweep == SideSweepStrategy::kGrayIncremental ? "gray"
-      : sweep == SideSweepStrategy::kBitParallel   ? "bit_parallel"
-                                                   : "scratch";
   TraceSpan sweep_span("build_side_array", "sweep");
   sweep_span.arg("side", side.is_source_side ? "s" : "t")
       .arg("links", static_cast<std::int64_t>(m))
-      .arg("configs", static_cast<std::uint64_t>(total))
-      .arg("strategy", strategy_name)
-      .arg("gray", sweep != SideSweepStrategy::kScratch);
+      .arg("configs", static_cast<std::uint64_t>(total));
 
   if (ProgressReporter* progress = exec_progress(ctx)) {
     progress->add_total(static_cast<std::uint64_t>(total));
   }
 
   std::vector<Mask> array(static_cast<std::size_t>(total), 0);
-  SweepCounters local;
   std::atomic<bool> aborted{false};
 
-  // `first`/`last` are configuration values on the scratch path and
-  // Gray-code ranks on the incremental path; either way the shards
-  // [0, total) are covered exactly once.
-  auto run = [&](Mask first, Mask last, SweepCounters& s) {
-    switch (sweep) {
-      case SideSweepStrategy::kBitParallel:
-        sweep_per_assignment_bitparallel(side, assignments, demand_rate, first,
-                                         last, array, s, ctx, aborted);
-        break;
-      case SideSweepStrategy::kGrayIncremental:
-        if (method == FeasibilityMethod::kPolymatroid) {
-          sweep_polymatroid_gray(side, assignments, demand_rate,
-                                 options.monotone_pruning, first, last, array,
-                                 s, ctx, aborted);
-        } else {
-          sweep_per_assignment_gray(side, assignments, demand_rate,
-                                    options.monotone_pruning, first, last,
-                                    array, s, ctx, aborted);
-        }
-        break;
-      default:
-        if (method == FeasibilityMethod::kPolymatroid) {
-          sweep_polymatroid(side, assignments, demand_rate, first, last,
-                            array, s, ctx, aborted);
-        } else {
-          sweep_per_assignment(side, assignments, demand_rate, first, last,
-                               array, s, ctx, aborted);
-        }
-        break;
+  // Contiguous, Gray-aligned shards: each shard owns one rank range, so
+  // its Gray walk is a single contiguous path. The shard geometry is
+  // FIXED by the instance size (never by the thread count), so the
+  // per-shard counters — and their shard-order merge below — are
+  // identical whether the sweep runs on 1 thread or 64.
+  const Mask shard_count =
+      total < 1024 ? Mask{1} : std::min<Mask>(Mask{32}, total >> 10);
+  const Mask chunk = total / shard_count;
+  std::vector<SweepCounters> shard_stats(static_cast<std::size_t>(shard_count));
+  std::vector<double> shard_ms(static_cast<std::size_t>(shard_count), 0.0);
+  const auto run_shard = [&](Mask i) {
+    const Mask first = i * chunk;
+    const Mask last = i + 1 == shard_count ? total - 1 : first + chunk - 1;
+    TraceSpan shard_span;  // one span per shard of a sharded sweep
+    if (shard_count > 1 && trace_enabled()) {
+      shard_span.begin("side_sweep_shard", "sweep");
     }
+    shard_span.arg("shard", static_cast<std::int64_t>(i))
+        .arg("ranks", static_cast<std::uint64_t>(last - first + 1));
+    const auto t0 = std::chrono::steady_clock::now();
+    sweep_side(side, assignments, demand_rate, first, last, array,
+               shard_stats[static_cast<std::size_t>(i)], ctx, aborted);
+    shard_ms[static_cast<std::size_t>(i)] =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
   };
-
+  if (shard_count == 1) {
+    run_shard(0);
+  } else {
 #ifdef _OPENMP
-  if (options.parallel && total >= 1024) {
-    // Contiguous, Gray-aligned shards: each shard owns one rank range, so
-    // its Gray walk is a single contiguous path. The shard geometry is
-    // FIXED by the instance size (never by the thread count), so the
-    // per-shard counters — and their shard-order merge below — are
-    // identical whether the sweep runs on 1 thread or 64.
-    const Mask shard_count = std::min<Mask>(Mask{32}, total >> 10);
-    const Mask chunk = total / shard_count;
     const int threads = static_cast<int>(std::min<Mask>(
         static_cast<Mask>(exec_resolved_threads(ctx)), shard_count));
-    std::vector<SweepCounters> shard_stats(
-        static_cast<std::size_t>(shard_count));
-    std::vector<double> shard_ms(static_cast<std::size_t>(shard_count), 0.0);
 #pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+#endif
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(shard_count);
          ++i) {
-      const Mask first = static_cast<Mask>(i) * chunk;
-      const Mask last = static_cast<Mask>(i) + 1 == shard_count
-                            ? total - 1
-                            : first + chunk - 1;
-      TraceSpan shard_span("side_sweep_shard", "sweep");
-      shard_span.arg("shard", static_cast<std::int64_t>(i))
-          .arg("ranks", static_cast<std::uint64_t>(last - first + 1));
-      const auto t0 = std::chrono::steady_clock::now();
-      run(first, last, shard_stats[static_cast<std::size_t>(i)]);
-      shard_ms[static_cast<std::size_t>(i)] =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-    }
-    if (aborted.load(std::memory_order_relaxed)) {
-      throw ExecInterrupted{ctx->stop_status()};
-    }
-    for (const SweepCounters& s : shard_stats) local.merge(s);
-    if (stats) {
-      local.flush(stats->telemetry);
-      // Shards run concurrently, so wall clock is the slowest shard (the
-      // max), never the sum — the sum is the CPU view and gets its own
-      // key. See Telemetry::merge_parallel for the same rule applied to
-      // whole trees.
-      double wall = 0.0;
-      double cpu = 0.0;
-      for (double t : shard_ms) {
-        wall = std::max(wall, t);
-        cpu += t;
-      }
-      stats->telemetry.timer_ms("sweep") += wall;
-      stats->telemetry.timer_ms("sweep_cpu") += cpu;
-    }
-    return array;
-  }
-#endif
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    run(0, total - 1, local);
-    if (stats) {
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      stats->telemetry.timer_ms("sweep") += ms;
-      stats->telemetry.timer_ms("sweep_cpu") += ms;
+      run_shard(static_cast<Mask>(i));
     }
   }
   if (aborted.load(std::memory_order_relaxed)) {
     throw ExecInterrupted{ctx->stop_status()};
   }
-  if (stats) local.flush(stats->telemetry);
-  return array;
-}
-
-std::vector<Mask> build_side_array(const SideProblem& side,
-                                   const AssignmentSet& assignments,
-                                   Capacity demand_rate,
-                                   const SideArrayOptions& options,
-                                   std::uint64_t* maxflow_calls) {
-  SideArrayStats stats;
-  std::vector<Mask> array =
-      build_side_array(side, assignments, demand_rate, options, &stats);
-  if (maxflow_calls) *maxflow_calls += stats.maxflow_calls();
+  if (stats) {
+    SweepCounters local;
+    for (const SweepCounters& s : shard_stats) local.merge(s);
+    local.flush(stats->telemetry);
+    // Shards run concurrently, so wall clock is the slowest shard (the
+    // max), never the sum — the sum is the CPU view and gets its own
+    // key. See Telemetry::merge_parallel for the same rule applied to
+    // whole trees.
+    double wall = 0.0;
+    double cpu = 0.0;
+    for (double t : shard_ms) {
+      wall = std::max(wall, t);
+      cpu += t;
+    }
+    stats->telemetry.timer_ms("sweep") += wall;
+    stats->telemetry.timer_ms("sweep_cpu") += cpu;
+  }
   return array;
 }
 
 SlabMaskTable build_side_array_slab(const SideProblem& side,
                                     const AssignmentSet& assignments,
                                     Capacity demand_rate,
-                                    const SideArrayOptions& options,
                                     SideArrayStats* stats,
                                     const ExecContext* ctx) {
-  return slab_form(
-      build_side_array(side, assignments, demand_rate, options, stats, ctx),
-      side.view.num_edges());
+  return slab_form(build_side_array(side, assignments, demand_rate, stats, ctx),
+                   side.view.num_edges());
 }
 
+// The paper's scalar procedure: one reset + bounded solve per question.
 struct SideMaskEvaluator::Impl {
-  Impl(const SideProblem& side, const AssignmentSet& assignments, Capacity d)
-      : eval(side), set(&assignments), rate(d) {}
+  Impl(const SideProblem& problem, const AssignmentSet& assignments,
+       Capacity d)
+      : side(&problem),
+        set(&assignments),
+        rate(d),
+        residual(problem.view),
+        terminals(add_side_super_arcs(residual, problem)) {}
 
-  SideEvaluator eval;
+  const SideProblem* side;
   const AssignmentSet* set;
   Capacity rate;
+  ConfigResidual residual;
+  DinicSolver solver;
+  SuperTerminals terminals;
 };
 
 SideMaskEvaluator::SideMaskEvaluator(const SideProblem& side,
@@ -1129,12 +690,18 @@ SideMaskEvaluator::~SideMaskEvaluator() = default;
 SideMaskEvaluator::SideMaskEvaluator(SideMaskEvaluator&&) noexcept = default;
 
 Mask SideMaskEvaluator::realized(Mask config) {
+  Impl& im = *impl_;
   Mask out = 0;
-  for (int j = 0; j < impl_->set->size(); ++j) {
-    const Capacity required = impl_->eval.configure(
-        impl_->set->assignments[static_cast<std::size_t>(j)], impl_->rate);
+  for (int j = 0; j < im.set->size(); ++j) {
+    const SuperArcPlan plan = plan_assignment_arcs(
+        *im.side, im.set->assignments[static_cast<std::size_t>(j)], im.rate);
+    apply_assignment_plan(im.residual, plan);
+    im.residual.reset(config);
     ++calls_;
-    if (impl_->eval.solve(config, required) >= required) out |= bit(j);
+    if (im.solver.solve(im.residual.graph(), im.terminals.source,
+                        im.terminals.sink, plan.required) >= plan.required) {
+      out |= bit(j);
+    }
   }
   return out;
 }

@@ -1,12 +1,8 @@
-// The bit-parallel slab sweep must be an exact drop-in for the paper's
-// from-scratch procedure: bitwise-identical side arrays and fold
-// distributions across kScratch / kGrayIncremental / kBitParallel on a
-// large population of seeded graphs, full decision accounting
-// (word-wide lanes + scalar residue == configurations x |D|), and a
-// strictly smaller solver bill than scratch on non-trivial arrays.
-// Also covers the BitSlabs primitives: the Gray-slab fill identity,
-// gray_rank, slab/config form roundtrips, and pins the fold bitwise to
-// its definition across index widths and probability extremes.
+// The BitSlabs primitives under the side-array sweep: the Gray-slab
+// fill identity, gray_rank, slab/config form roundtrips, the slab
+// builder against the vector builder, and the fold pinned bitwise to its
+// definition across index widths and probability extremes. The sweep's
+// arrays are checked against the paper's procedure in test_side_array.
 
 #include "streamrel/core/bit_slabs.hpp"
 
@@ -185,140 +181,6 @@ TEST(FoldPin, BitwiseEqualToTheDefinitionalFold) {
   expect_bitwise_fold(array, m, probs, "m=17 random masks");
 }
 
-SideArrayOptions sweep_options(SideSweepStrategy sweep,
-                               FeasibilityMethod f = FeasibilityMethod::kPerAssignment) {
-  SideArrayOptions o;
-  o.feasibility = f;
-  o.parallel = false;
-  o.sweep = sweep;
-  o.monotone_pruning = true;
-  return o;
-}
-
-void expect_same_distribution(const MaskDistribution& a,
-                              const MaskDistribution& b, const char* what) {
-  ASSERT_EQ(a.buckets.size(), b.buckets.size()) << what;
-  for (std::size_t i = 0; i < a.buckets.size(); ++i) {
-    EXPECT_EQ(a.buckets[i].first, b.buckets[i].first) << what;
-    EXPECT_EQ(a.buckets[i].second, b.buckets[i].second) << what;  // bitwise
-  }
-  EXPECT_EQ(a.total, b.total) << what;
-}
-
-// The heart of the contract: on 200 seeded clustered graphs (sides from
-// a handful of links — partial slabs — up to ~2^10 configurations),
-// every strategy produces the SAME bytes, the slab sweep answers
-// every (configuration, assignment) decision exactly once between its
-// word-wide kernels and the scalar residue, and never solves more
-// max-flows than the from-scratch sweep.
-TEST(BitParallelSweep, MatchesScratchOn200SeededGraphs) {
-  Xoshiro256 rng(20260807);
-  int nontrivial = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    ClusteredParams params;
-    params.nodes_s = 3 + static_cast<int>(rng.uniform_below(4));
-    params.nodes_t = 3 + static_cast<int>(rng.uniform_below(4));
-    params.extra_edges_s = static_cast<int>(rng.uniform_below(4));
-    params.extra_edges_t = static_cast<int>(rng.uniform_below(4));
-    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
-    params.bottleneck_caps = {1, 3};
-    const GeneratedNetwork g = clustered_bottleneck(rng, params);
-    const BottleneckPartition partition =
-        partition_from_sides(g.net, g.source, g.sink, g.side_s);
-    const Capacity d = rng.uniform_int(1, 3);
-
-    for (const AssignmentMode mode :
-         {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
-      AssignmentSet assignments;
-      try {
-        assignments = enumerate_assignments(g.net, partition, d, {mode});
-      } catch (const std::invalid_argument&) {
-        continue;  // |D| guard tripped; irrelevant here
-      }
-      if (assignments.size() == 0) continue;
-
-      for (const bool source_side : {true, false}) {
-        const SideProblem side = make_side_problem(
-            g.net, {g.source, g.sink, d}, partition, source_side);
-
-        SideArrayStats scratch_stats;
-        const std::vector<Mask> scratch = build_side_array(
-            side, assignments, d,
-            sweep_options(SideSweepStrategy::kScratch), &scratch_stats);
-        SideArrayStats gray_stats;
-        const std::vector<Mask> gray = build_side_array(
-            side, assignments, d,
-            sweep_options(SideSweepStrategy::kGrayIncremental), &gray_stats);
-        SideArrayStats bit_stats;
-        const std::vector<Mask> bit_parallel = build_side_array(
-            side, assignments, d,
-            sweep_options(SideSweepStrategy::kBitParallel), &bit_stats);
-
-        ASSERT_EQ(scratch, gray)
-            << "trial " << trial << " source_side " << source_side;
-        ASSERT_EQ(scratch, bit_parallel)
-            << "trial " << trial << " source_side " << source_side;
-
-        // Full decision accounting: every (configuration, assignment)
-        // pair is decided exactly once, word-wide or by the residue.
-        const std::uint64_t decisions =
-            static_cast<std::uint64_t>(scratch.size()) *
-            static_cast<std::uint64_t>(assignments.size());
-        EXPECT_EQ(bit_stats.lanes_decided_wordwise() +
-                      bit_stats.scalar_residue(),
-                  decisions)
-            << "trial " << trial << " source_side " << source_side;
-        EXPECT_LE(bit_stats.maxflow_calls(), scratch_stats.maxflow_calls());
-        if (scratch.size() >= 64) ++nontrivial;
-
-        // The fold is a pure function of (array, probabilities): every
-        // strategy produces a bitwise identical distribution.
-        const int m = side.view.num_edges();
-        expect_same_distribution(
-            bucket_side_array(side, slab_form(scratch, m)),
-            bucket_side_array(side, slab_form(bit_parallel, m)),
-            "fold(bit_parallel)");
-      }
-    }
-  }
-  EXPECT_GT(nontrivial, 50);  // the population exercises full slabs
-}
-
-TEST(BitParallelSweep, PolymatroidRequestDelegatesToGray) {
-  Xoshiro256 rng(7);
-  ClusteredParams params;
-  params.nodes_s = 6;
-  params.extra_edges_s = 3;
-  params.nodes_t = 4;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  params.bottleneck_caps = {1, 3};
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const Capacity d = 2;
-  const AssignmentSet forward = enumerate_assignments(
-      g.net, partition, d, {AssignmentMode::kForwardOnly});
-  ASSERT_GT(forward.size(), 0);
-  const SideProblem side =
-      make_side_problem(g.net, {g.source, g.sink, d}, partition, true);
-
-  SideArrayStats bit_stats;
-  const std::vector<Mask> bit_parallel = build_side_array(
-      side, forward, d,
-      sweep_options(SideSweepStrategy::kBitParallel,
-                    FeasibilityMethod::kPolymatroid),
-      &bit_stats);
-  const std::vector<Mask> gray = build_side_array(
-      side, forward, d,
-      sweep_options(SideSweepStrategy::kGrayIncremental,
-                    FeasibilityMethod::kPolymatroid));
-  EXPECT_EQ(bit_parallel, gray);
-  // The delegation really ran the Gray engine bank: no slab lanes.
-  EXPECT_EQ(bit_stats.lanes_decided_wordwise(), 0u);
-  EXPECT_EQ(bit_stats.scalar_residue(), 0u);
-}
-
 TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
   Xoshiro256 rng(99);
   ClusteredParams params;
@@ -341,13 +203,10 @@ TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
         g.net, {g.source, g.sink, d}, partition, source_side);
     SideArrayStats vec_stats;
     const std::vector<Mask> array =
-        build_side_array(side, forward, d,
-                         sweep_options(SideSweepStrategy::kBitParallel),
-                         &vec_stats);
+        build_side_array(side, forward, d, &vec_stats);
     SideArrayStats slab_stats;
-    const SlabMaskTable table = build_side_array_slab(
-        side, forward, d, sweep_options(SideSweepStrategy::kBitParallel),
-        &slab_stats);
+    const SlabMaskTable table =
+        build_side_array_slab(side, forward, d, &slab_stats);
     EXPECT_EQ(config_form(table), array);
     EXPECT_EQ(table.num_links, side.view.num_edges());
     // Same sweep underneath: the counters agree exactly.

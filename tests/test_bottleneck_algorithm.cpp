@@ -8,11 +8,13 @@
 #include <optional>
 #include <string>
 
+#include "streamrel/core/chain.hpp"
 #include "streamrel/core/reliability_facade.hpp"
 #include "streamrel/cuts/partition_search.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/p2p/scenario.hpp"
 #include "streamrel/reliability/factoring.hpp"
+#include "streamrel/reliability/frontier.hpp"
 #include "streamrel/reliability/naive.hpp"
 #include "test_support.hpp"
 #include "streamrel/util/prng.hpp"
@@ -283,18 +285,15 @@ TEST(BottleneckSigned, BackwardArcGraphNeedsSignedMode) {
 }
 
 class BottleneckStrategyMatrixTest
-    : public ::testing::TestWithParam<
-          std::tuple<AccumulationStrategy, FeasibilityMethod>> {};
+    : public ::testing::TestWithParam<AccumulationStrategy> {};
 
 TEST_P(BottleneckStrategyMatrixTest, EveryConfigurationAgreesOnFig4) {
-  const auto [accumulation, feasibility] = GetParam();
   const GeneratedNetwork g = make_fig4_graph(0.25);
   const FlowDemand demand{g.source, g.sink, 2};
   const BottleneckPartition partition =
       partition_from_sides(g.net, g.source, g.sink, g.side_s);
   BottleneckOptions options;
-  options.accumulation = accumulation;
-  options.side.feasibility = feasibility;
+  options.accumulation = GetParam();
   options.assignments.mode = AssignmentMode::kForwardOnly;
   EXPECT_NEAR(
       reliability_bottleneck(g.net, demand, partition, options).reliability,
@@ -303,12 +302,9 @@ TEST_P(BottleneckStrategyMatrixTest, EveryConfigurationAgreesOnFig4) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, BottleneckStrategyMatrixTest,
-    ::testing::Combine(
-        ::testing::Values(AccumulationStrategy::kPaperInclusionExclusion,
-                          AccumulationStrategy::kZetaTransform,
-                          AccumulationStrategy::kBucketProduct),
-        ::testing::Values(FeasibilityMethod::kPerAssignment,
-                          FeasibilityMethod::kPolymatroid)));
+    ::testing::Values(AccumulationStrategy::kPaperInclusionExclusion,
+                      AccumulationStrategy::kZetaTransform,
+                      AccumulationStrategy::kBucketProduct));
 
 TEST(Bottleneck, OversizedSidesReportTheLimitClearly) {
   // 130 total links split 64/64/2: naive enumeration is impossible
@@ -429,8 +425,10 @@ TEST(Bottleneck, MediumClusteredInstanceAgreesWithFactoring) {
 //
 // The decomposition is exact for ANY bottleneck set, so R must not depend
 // on which admissible partition the search hands the engine: every
-// candidate find_candidate_partitions returns must give the same R, and
-// the R of exhaustive enumeration.
+// candidate find_candidate_partitions returns must give the same R, the
+// R of exhaustive enumeration, the R of the chain engine over the same
+// cut as a two-layer chain, and — on rate-1 undirected instances, where
+// feasibility is connectivity — the R of the frontier DP.
 
 struct CutFamilyInstance {
   std::string family;
@@ -438,55 +436,20 @@ struct CutFamilyInstance {
   Capacity rate = 1;
 };
 
-/// Directed copy of a planted two-cluster network: source-side links
-/// point away from the source, sink-side links toward the sink (by BFS
-/// depth inside each cluster), crossing links S -> T, plus one T -> S arc
-/// from the head of the first crossing link to the tail of the last. A
-/// delivering path may then cross out, back and out again.
+/// The planted network oriented S -> T (testing::orient_along_planted_cut)
+/// plus one T -> S arc from the head of the first crossing link to the
+/// tail of the last. A delivering path may then cross out, back and out
+/// again.
 GeneratedNetwork directed_with_back_arc(const GeneratedNetwork& g) {
-  const auto in_s = [&](NodeId n) {
-    return static_cast<bool>(g.side_s[static_cast<std::size_t>(n)]);
-  };
-  const auto depth_from = [&](NodeId root) {
-    std::vector<int> depth(static_cast<std::size_t>(g.net.num_nodes()), -1);
-    std::vector<NodeId> queue{root};
-    depth[static_cast<std::size_t>(root)] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (EdgeId id : g.net.incident_edges(queue[head])) {
-        const NodeId next = g.net.edge(id).other(queue[head]);
-        if (in_s(next) != in_s(root) ||
-            depth[static_cast<std::size_t>(next)] != -1) {
-          continue;
-        }
-        depth[static_cast<std::size_t>(next)] =
-            depth[static_cast<std::size_t>(queue[head])] + 1;
-        queue.push_back(next);
-      }
+  GeneratedNetwork out = testing::orient_along_planted_cut(g);
+  std::vector<Edge> crossing;
+  for (const Edge& e : out.net.edges()) {
+    if (g.side_s[static_cast<std::size_t>(e.u)] !=
+        g.side_s[static_cast<std::size_t>(e.v)]) {
+      crossing.push_back(e);
     }
-    return depth;
-  };
-  const std::vector<int> from_s = depth_from(g.source);
-  const std::vector<int> to_t = depth_from(g.sink);
-  GeneratedNetwork out = g;
-  out.net = FlowNetwork(g.net.num_nodes());
-  std::vector<const Edge*> crossing;
-  for (const Edge& e : g.net.edges()) {
-    const auto du = static_cast<std::size_t>(e.u);
-    const auto dv = static_cast<std::size_t>(e.v);
-    bool along = true;
-    if (in_s(e.u) != in_s(e.v)) {
-      along = in_s(e.u);
-      crossing.push_back(&e);
-    } else {
-      along = in_s(e.u) ? from_s[du] <= from_s[dv] : to_t[du] >= to_t[dv];
-    }
-    out.net.add_directed_edge(along ? e.u : e.v, along ? e.v : e.u,
-                              e.capacity, e.failure_prob);
   }
-  const Edge& first = *crossing.front();
-  const Edge& last = *crossing.back();
-  out.net.add_directed_edge(in_s(first.u) ? first.v : first.u,
-                            in_s(last.u) ? last.u : last.v, 1, 0.1);
+  out.net.add_directed_edge(crossing.front().v, crossing.back().u, 1, 0.1);
   return out;
 }
 
@@ -557,9 +520,17 @@ TEST(BottleneckCutIndependence, EveryCandidatePartitionGivesTheNaiveR) {
   // Per family: instances with R > 0 and two or more partitions, where
   // the property has teeth.
   std::map<std::string, int> compared;
+  int with_frontier = 0;  // rate-1 undirected instances with R > 0
   for (const CutFamilyInstance& inst : cut_independence_families()) {
     const FlowDemand demand{inst.g.source, inst.g.sink, inst.rate};
     const double naive = reliability_naive(inst.g.net, demand).reliability;
+    const auto& edges = inst.g.net.edges();
+    std::optional<double> frontier;
+    if (inst.rate == 1 &&
+        std::none_of(edges.begin(), edges.end(),
+                     [](const Edge& e) { return e.directed(); })) {
+      frontier = reliability_connectivity(inst.g.net, demand).reliability;
+    }
     std::vector<BottleneckPartition> partitions;
     for (PartitionChoice& choice : find_candidate_partitions(
              inst.g.net, demand.source, demand.sink, search)) {
@@ -582,6 +553,16 @@ TEST(BottleneckCutIndependence, EveryCandidatePartitionGivesTheNaiveR) {
           reliability_bottleneck(inst.g.net, demand, partitions[c]);
       ASSERT_TRUE(result.exact()) << where;
       expect_same_reliability(result.reliability, naive, where + " vs naive");
+      std::vector<int> layer;
+      for (const bool in_s : partitions[c].side_s) layer.push_back(in_s ? 0 : 1);
+      expect_same_reliability(
+          result.reliability,
+          reliability_chain(inst.g.net, demand, layer).reliability,
+          where + " vs chain");
+      if (frontier) {
+        expect_same_reliability(result.reliability, *frontier,
+                                where + " vs frontier");
+      }
       if (c > 0) {
         const double first =
             reliability_bottleneck(inst.g.net, demand, partitions[0])
@@ -591,7 +572,9 @@ TEST(BottleneckCutIndependence, EveryCandidatePartitionGivesTheNaiveR) {
       }
     }
     if (partitions.size() >= 2 && naive > 0.0) ++compared[inst.family];
+    if (frontier && naive > 0.0) ++with_frontier;
   }
+  EXPECT_GE(with_frontier, 8);
   for (const char* family :
        {"clustered", "small-world", "preferential-attachment",
         "random-multigraph", "directed-clustered"}) {

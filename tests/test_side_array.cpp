@@ -1,12 +1,21 @@
+// Side arrays (paper §III-C): the worked examples of Figs. 4 and 5, and
+// the oracle suite — build_side_array against the paper's own procedure,
+// one bounded max-flow per (configuration, assignment) through
+// SideMaskEvaluator (testing::oracle_side_array), compared with array ==.
+
 #include "streamrel/core/side_array.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
+#include "streamrel/cuts/partition_search.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/p2p/scenario.hpp"
 #include "streamrel/util/prng.hpp"
+#include "test_support.hpp"
 
 namespace streamrel {
 namespace {
@@ -87,57 +96,20 @@ TEST(SideArray, SinkSideArrayFullConfigRealizesAll) {
   EXPECT_EQ(array[0b00], 0u);
 }
 
-TEST(SideArray, PolymatroidMatchesPerAssignment) {
-  Xoshiro256 rng(808);
-  for (int trial = 0; trial < 25; ++trial) {
-    ClusteredParams params;
-    params.nodes_s = 4;
-    params.nodes_t = 4;
-    params.extra_edges_s = 2;
-    params.extra_edges_t = 2;
-    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
-    const GeneratedNetwork g = clustered_bottleneck(rng, params);
-    const BottleneckPartition partition =
-        partition_from_sides(g.net, g.source, g.sink, g.side_s);
-    const Capacity d = rng.uniform_int(1, 4);
-    const AssignmentSet assignments = enumerate_assignments(
-        g.net, partition, d, {AssignmentMode::kForwardOnly});
-    if (assignments.size() == 0) continue;
-    for (const bool source_side : {true, false}) {
-      const SideProblem side = make_side_problem(
-          g.net, {g.source, g.sink, d}, partition, source_side);
-      SideArrayOptions per, poly;
-      per.feasibility = FeasibilityMethod::kPerAssignment;
-      poly.feasibility = FeasibilityMethod::kPolymatroid;
-      EXPECT_EQ(build_side_array(side, assignments, d, per),
-                build_side_array(side, assignments, d, poly))
-          << "trial " << trial << " source_side=" << source_side;
-    }
-  }
-}
-
-TEST(SideArray, PolymatroidRejectsSignedAssignments) {
-  Fig4Fixture fx;
-  const SideProblem side =
-      make_side_problem(fx.g.net, fx.demand, fx.partition, true);
-  AssignmentSet signed_set = fx.assignments;
-  signed_set.mode = AssignmentMode::kSigned;
-  SideArrayOptions options;
-  options.feasibility = FeasibilityMethod::kPolymatroid;
-  EXPECT_THROW(build_side_array(side, signed_set, fx.demand.rate, options),
-               std::invalid_argument);
-}
-
 TEST(SideArray, MaxflowCallCounterAdvances) {
   Fig4Fixture fx;
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
-  std::uint64_t calls = 0;
-  SideArrayOptions options;
-  options.feasibility = FeasibilityMethod::kPerAssignment;
-  build_side_array(side, fx.assignments, fx.demand.rate, options, &calls);
+  std::uint64_t oracle_calls = 0;
+  const std::vector<Mask> oracle = testing::oracle_side_array(
+      side, fx.assignments, fx.demand.rate, &oracle_calls);
   // |D| * 2^{|E_s|} exactly, the paper's count.
-  EXPECT_EQ(calls, 3u * 32u);
+  EXPECT_EQ(oracle_calls, 3u * 32u);
+  SideArrayStats stats;
+  EXPECT_EQ(build_side_array(side, fx.assignments, fx.demand.rate, &stats),
+            oracle);
+  EXPECT_GT(stats.maxflow_calls(), 0u);
+  EXPECT_LT(stats.maxflow_calls(), oracle_calls);
 }
 
 TEST(BucketDistribution, SumsToOneAndMatchesArray) {
@@ -170,6 +142,320 @@ TEST(SideArray, RejectsOversizedSide) {
   EXPECT_THROW(
       make_side_problem(net, {0, 2, 1}, partition, /*source_side=*/true),
       std::invalid_argument);
+}
+
+// --- Oracle suite -------------------------------------------------------
+//
+// Every array build_side_array returns must equal the oracle's, over side
+// sizes 0..12 (zero links, partial 64-lane slabs, single-shard and
+// sharded sweeps), every generator family, both assignment modes and
+// d = 1..4. The word-wide kernels and the residue engine must also
+// account for every (configuration, assignment) decision exactly once.
+
+std::optional<AssignmentSet> try_assignments(const FlowNetwork& net,
+                                             const BottleneckPartition& p,
+                                             Capacity d, AssignmentMode mode) {
+  try {
+    AssignmentSet set = enumerate_assignments(net, p, d, {mode});
+    if (set.size() == 0) return std::nullopt;
+    return set;
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;  // |D| beyond the mask: not a side-array question
+  }
+}
+
+/// What a family's comparisons covered, for the coverage assertions.
+struct OracleTally {
+  int sides = 0;
+  int sharded = 0;         ///< sides of >= 1024 configurations
+  int partial_slab = 0;    ///< sides of < 64 configurations
+  int forward_rich = 0;    ///< forward-only, k < 6, |D| > 2^k - 1
+  bool saw_negative_usage = false;
+};
+
+void expect_side_matches_oracle(const SideProblem& side,
+                                const AssignmentSet& set, Capacity d,
+                                const std::string& where,
+                                OracleTally& tally) {
+  std::uint64_t oracle_calls = 0;
+  const std::vector<Mask> want =
+      testing::oracle_side_array(side, set, d, &oracle_calls);
+  SideArrayStats stats;
+  const std::vector<Mask> got = build_side_array(side, set, d, &stats);
+  ASSERT_EQ(got, want) << where;
+  EXPECT_LE(stats.maxflow_calls(), oracle_calls) << where;
+  const std::uint64_t decisions = static_cast<std::uint64_t>(want.size()) *
+                                  static_cast<std::uint64_t>(set.size());
+  EXPECT_EQ(stats.lanes_decided_wordwise() + stats.scalar_residue(),
+            decisions)
+      << where;
+  ++tally.sides;
+  if (want.size() >= 1024) ++tally.sharded;
+  if (want.size() < 64) ++tally.partial_slab;
+}
+
+/// Both sides of `partition` under `mode` at rate d.
+void expect_partition_matches_oracle(const FlowNetwork& net,
+                                     const FlowDemand& demand,
+                                     const BottleneckPartition& partition,
+                                     AssignmentMode mode,
+                                     const std::string& where,
+                                     OracleTally& tally) {
+  const std::optional<AssignmentSet> set =
+      try_assignments(net, partition, demand.rate, mode);
+  if (!set) return;
+  const int k = partition.k();
+  if (set->mode == AssignmentMode::kForwardOnly && k < 6 &&
+      set->size() > (1 << k) - 1) {
+    ++tally.forward_rich;
+  }
+  for (const Assignment& a : set->assignments) {
+    tally.saw_negative_usage |= std::any_of(
+        a.usage.begin(), a.usage.end(), [](Capacity u) { return u < 0; });
+  }
+  const auto snapshot = net.compile();
+  for (const bool source_side : {true, false}) {
+    expect_side_matches_oracle(
+        make_side_problem(snapshot, demand, partition, source_side), *set,
+        demand.rate,
+        where + " mode " + std::to_string(static_cast<int>(mode)) +
+            (source_side ? " side s" : " side t"),
+        tally);
+  }
+}
+
+/// A clustered network whose two clusters each carry exactly m >= 1
+/// internal links: nodes - 1 tree links plus the rest as extras.
+GeneratedNetwork clustered_with_side_links(Xoshiro256& rng, int m, int k,
+                                           CapacityRange crossing_caps) {
+  ClusteredParams params;
+  params.nodes_s = params.nodes_t = 2 + (m - 1) / 2;
+  params.extra_edges_s = params.extra_edges_t = m - (params.nodes_s - 1);
+  params.bottleneck_links = k;
+  params.bottleneck_caps = crossing_caps;
+  return clustered_bottleneck(rng, params);
+}
+
+TEST(SideArrayOracle, SideSizesZeroToTwelve) {
+  OracleTally tally;
+  // Zero-link sides: the source is itself the crossing endpoint.
+  {
+    FlowNetwork both_empty(2);  // s and t joined by three parallel links
+    both_empty.add_undirected_edge(0, 1, 1, 0.1);
+    both_empty.add_undirected_edge(0, 1, 2, 0.2);
+    both_empty.add_undirected_edge(0, 1, 1, 0.3);
+    FlowNetwork source_empty(4);  // s | {1, 2, 3 = t}
+    source_empty.add_undirected_edge(0, 1, 2, 0.1);
+    source_empty.add_undirected_edge(0, 2, 1, 0.2);
+    source_empty.add_undirected_edge(1, 2, 1, 0.1);
+    source_empty.add_undirected_edge(1, 3, 2, 0.2);
+    source_empty.add_undirected_edge(2, 3, 1, 0.3);
+    const std::vector<std::pair<const FlowNetwork*, NodeId>> nets{
+        {&both_empty, 1}, {&source_empty, 3}};
+    for (const auto& [net, sink] : nets) {
+      std::vector<bool> side_s(static_cast<std::size_t>(net->num_nodes()),
+                               false);
+      side_s[0] = true;
+      const BottleneckPartition partition =
+          partition_from_sides(*net, 0, sink, side_s);
+      for (Capacity d = 1; d <= 3; ++d) {
+        for (const AssignmentMode mode :
+             {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+          expect_partition_matches_oracle(*net, {0, sink, d}, partition, mode,
+                                          "zero-link side, d=" +
+                                              std::to_string(d),
+                                          tally);
+        }
+      }
+    }
+  }
+  Xoshiro256 rng(20261019);
+  for (int m = 1; m <= 12; ++m) {
+    for (int i = 0; i < 3; ++i) {
+      const int k = 1 + (m + i) % 3;
+      const Capacity d = 1 + (m + i) % 4;
+      const GeneratedNetwork g = clustered_with_side_links(rng, m, k, {1, 3});
+      const BottleneckPartition partition =
+          partition_from_sides(g.net, g.source, g.sink, g.side_s);
+      for (const AssignmentMode mode :
+           {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+        expect_partition_matches_oracle(
+            g.net, {g.source, g.sink, d}, partition, mode,
+            "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " d=" + std::to_string(d),
+            tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.partial_slab, 20);
+  EXPECT_GT(tally.sharded, 10);
+  EXPECT_TRUE(tally.saw_negative_usage);
+}
+
+// 200 seeded clustered graphs, sides from a handful of links up to 2^10
+// configurations.
+TEST(SideArrayOracle, ClusteredFamily) {
+  Xoshiro256 rng(20260807);
+  OracleTally tally;
+  for (int trial = 0; trial < 200; ++trial) {
+    ClusteredParams params;
+    params.nodes_s = 3 + static_cast<int>(rng.uniform_below(4));
+    params.nodes_t = 3 + static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_s = static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_t = static_cast<int>(rng.uniform_below(4));
+    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
+    params.bottleneck_caps = {1, 3};
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const Capacity d = rng.uniform_int(1, 4);
+    for (const AssignmentMode mode :
+         {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+      expect_partition_matches_oracle(g.net, {g.source, g.sink, d}, partition,
+                                      mode, "trial " + std::to_string(trial),
+                                      tally);
+    }
+  }
+  EXPECT_GT(tally.sides, 500);
+  EXPECT_TRUE(tally.saw_negative_usage);
+}
+
+/// Every candidate partition (up to three per network) the search finds
+/// on small networks of one generator family, both modes, rates 1..4.
+OracleTally check_searched_family(const std::string& family,
+                                  const std::vector<GeneratedNetwork>& nets) {
+  PartitionSearchOptions search;
+  search.max_k = 3;
+  search.max_side_edges = 12;
+  OracleTally tally;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const GeneratedNetwork& g = nets[i];
+    const Capacity d = 1 + static_cast<Capacity>(i % 4);
+    const std::vector<PartitionChoice> choices =
+        find_candidate_partitions(g.net, g.source, g.sink, search);
+    for (std::size_t c = 0; c < choices.size() && c < 3; ++c) {
+      for (const AssignmentMode mode :
+           {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+        expect_partition_matches_oracle(
+            g.net, {g.source, g.sink, d}, choices[c].partition, mode,
+            family + " #" + std::to_string(i) + " partition " +
+                std::to_string(c) + " d=" + std::to_string(d),
+            tally);
+      }
+    }
+  }
+  return tally;
+}
+
+TEST(SideArrayOracle, SmallWorldPreferentialAttachmentAndMultigraphFamilies) {
+  Xoshiro256 rng(20261020);
+  const CapacityRange caps{1, 3};
+  const ProbRange probs{0.05, 0.4};
+  std::vector<GeneratedNetwork> small, hubs, multi;
+  for (int i = 0; i < 8; ++i) {
+    small.push_back(small_world(rng, 9 + i % 3, 2, 0.3, caps, probs));
+    hubs.push_back(preferential_attachment(rng, 6 + i % 2, 2, caps, probs));
+    multi.push_back(random_multigraph(rng, 6 + i % 2, 9 + i % 3, caps, probs));
+  }
+  for (const auto& [family, nets] :
+       {std::pair{"small-world", &small},
+        std::pair{"preferential-attachment", &hubs},
+        std::pair{"random-multigraph", &multi}}) {
+    const OracleTally tally = check_searched_family(family, *nets);
+    EXPECT_GE(tally.sides, 16) << family;
+  }
+}
+
+TEST(SideArrayOracle, DirectedClusteredFamilyResolvesForwardOnly) {
+  Xoshiro256 rng(20261021);
+  OracleTally tally;
+  for (int i = 0; i < 24; ++i) {
+    const int m = 3 + i % 8;
+    const GeneratedNetwork g =
+        testing::orient_along_planted_cut(
+            clustered_with_side_links(rng, m, 1 + i % 3, {1, 3}));
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const Capacity d = 1 + i % 4;
+    const std::optional<AssignmentSet> set =
+        try_assignments(g.net, partition, d, AssignmentMode::kAuto);
+    if (!set) continue;
+    ASSERT_EQ(set->mode, AssignmentMode::kForwardOnly) << "instance " << i;
+    expect_partition_matches_oracle(g.net, {g.source, g.sink, d}, partition,
+                                    AssignmentMode::kAuto,
+                                    "directed #" + std::to_string(i), tally);
+  }
+  EXPECT_GE(tally.sides, 30);
+  EXPECT_FALSE(tally.saw_negative_usage);
+}
+
+// Forward-only sets with |D| > 2^k - 1 at k < 6: the shapes a
+// Gale-condition (polymatroid) check would answer with 2^k - 1 subset
+// flows per configuration. The one sweep must give the oracle's arrays
+// on them too.
+TEST(SideArrayOracle, ForwardOnlyWithMoreAssignmentsThanSubsets) {
+  Xoshiro256 rng(20261022);
+  OracleTally tally;
+  // (k, d) with every crossing cap 3: |D| = 4, 10, 12, 31 > 2^k - 1.
+  const std::pair<int, Capacity> shapes[] = {{2, 3}, {3, 3}, {3, 4}, {4, 4}};
+  for (int i = 0; i < 16; ++i) {
+    const auto [k, d] = shapes[i % 4];
+    const GeneratedNetwork g =
+        clustered_with_side_links(rng, 4 + i % 7, k, {3, 3});
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    expect_partition_matches_oracle(g.net, {g.source, g.sink, d}, partition,
+                                    AssignmentMode::kForwardOnly,
+                                    "rich #" + std::to_string(i), tally);
+  }
+  EXPECT_EQ(tally.forward_rich, 16);
+}
+
+// The shard geometry is fixed by the array size, so one thread and the
+// default pool give the same arrays AND the same counters.
+TEST(SideArrayOracle, OneThreadMatchesDefaultThreads) {
+  Xoshiro256 rng(20261023);
+  ExecContext one_thread;
+  one_thread.max_threads = 1;
+  int sharded = 0;
+  for (int i = 0; i < 6; ++i) {
+    const int m = 10 + i % 3;
+    const GeneratedNetwork g =
+        clustered_with_side_links(rng, m, 1 + i % 3, {1, 3});
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const Capacity d = 1 + i % 4;
+    for (const AssignmentMode mode :
+         {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+      const std::optional<AssignmentSet> set =
+          try_assignments(g.net, partition, d, mode);
+      if (!set) continue;
+      for (const bool source_side : {true, false}) {
+        const SideProblem side = make_side_problem(
+            g.net, {g.source, g.sink, d}, partition, source_side);
+        SideArrayStats serial_stats;
+        SideArrayStats pooled_stats;
+        const std::vector<Mask> serial =
+            build_side_array(side, *set, d, &serial_stats, &one_thread);
+        const std::vector<Mask> pooled =
+            build_side_array(side, *set, d, &pooled_stats);
+        const std::string where = "instance " + std::to_string(i) +
+                                  (source_side ? " side s" : " side t");
+        ASSERT_EQ(serial, pooled) << where;
+        EXPECT_TRUE(serial_stats.telemetry.counters_equal(
+            pooled_stats.telemetry))
+            << where;
+        EXPECT_EQ(serial_stats.maxflow_calls(), pooled_stats.maxflow_calls())
+            << where;
+        if (i < 2) {
+          EXPECT_EQ(serial, testing::oracle_side_array(side, *set, d))
+              << where;
+        }
+        ++sharded;
+      }
+    }
+  }
+  EXPECT_GE(sharded, 16);
 }
 
 }  // namespace

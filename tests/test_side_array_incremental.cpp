@@ -1,14 +1,11 @@
-// The Gray-code incremental side-array sweep must be an exact drop-in for
-// the paper's from-scratch procedure: bitwise-identical arrays for both
-// feasibility engines, both sides, signed (backflow) assignments, with
-// and without monotone pruning — while issuing strictly fewer solver
-// calls on non-trivial arrays.
+// The pieces under the side-array sweep: the streamed fold of a side
+// array into its mask distribution, and the external-mode
+// IncrementalMaxFlow engine that answers the sweep's residue.
 
 #include "streamrel/core/side_array.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "streamrel/graph/generators.hpp"
@@ -19,180 +16,6 @@
 
 namespace streamrel {
 namespace {
-
-SideArrayOptions sweep_options(SideSweepStrategy sweep, FeasibilityMethod f,
-                               bool pruning) {
-  SideArrayOptions o;
-  o.feasibility = f;
-  o.parallel = false;
-  o.sweep = sweep;
-  o.monotone_pruning = pruning;
-  return o;
-}
-
-TEST(SideArrayIncremental, MatchesScratchOnRandomNetworks) {
-  Xoshiro256 rng(20260806);
-  bool saw_negative_usage = false;
-  for (int trial = 0; trial < 20; ++trial) {
-    ClusteredParams params;
-    params.nodes_s = 4 + static_cast<int>(rng.uniform_below(3));
-    params.nodes_t = 4 + static_cast<int>(rng.uniform_below(3));
-    params.extra_edges_s = 1 + static_cast<int>(rng.uniform_below(3));
-    params.extra_edges_t = 1 + static_cast<int>(rng.uniform_below(3));
-    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
-    params.bottleneck_caps = {1, 3};
-    const GeneratedNetwork g = clustered_bottleneck(rng, params);
-    const BottleneckPartition partition =
-        partition_from_sides(g.net, g.source, g.sink, g.side_s);
-    const Capacity d = rng.uniform_int(1, 3);
-
-    for (const AssignmentMode mode :
-         {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
-      AssignmentSet assignments;
-      try {
-        assignments = enumerate_assignments(g.net, partition, d, {mode});
-      } catch (const std::invalid_argument&) {
-        continue;  // |D| guard tripped; irrelevant here
-      }
-      if (assignments.size() == 0) continue;
-      for (const Assignment& a : assignments.assignments) {
-        saw_negative_usage |=
-            std::any_of(a.usage.begin(), a.usage.end(),
-                        [](Capacity u) { return u < 0; });
-      }
-
-      for (const bool source_side : {true, false}) {
-        const SideProblem side = make_side_problem(
-            g.net, {g.source, g.sink, d}, partition, source_side);
-        const std::vector<Mask> scratch = build_side_array(
-            side, assignments, d,
-            sweep_options(SideSweepStrategy::kScratch,
-                          FeasibilityMethod::kPerAssignment, true));
-        for (const bool pruning : {false, true}) {
-          EXPECT_EQ(scratch,
-                    build_side_array(
-                        side, assignments, d,
-                        sweep_options(SideSweepStrategy::kGrayIncremental,
-                                      FeasibilityMethod::kPerAssignment,
-                                      pruning)))
-              << "trial " << trial << " mode " << static_cast<int>(mode)
-              << " source_side " << source_side << " pruning " << pruning;
-          if (mode == AssignmentMode::kForwardOnly) {
-            EXPECT_EQ(scratch,
-                      build_side_array(
-                          side, assignments, d,
-                          sweep_options(SideSweepStrategy::kGrayIncremental,
-                                        FeasibilityMethod::kPolymatroid,
-                                        pruning)))
-                << "polymatroid trial " << trial << " source_side "
-                << source_side << " pruning " << pruning;
-          }
-        }
-      }
-    }
-  }
-  // The signed trials must actually exercise backflow assignments.
-  EXPECT_TRUE(saw_negative_usage);
-}
-
-TEST(SideArrayIncremental, ParallelShardsMatchSerial) {
-  // A source side with >= 10 internal links crosses the parallel
-  // threshold; Gray-aligned shards must reproduce the serial array.
-  Xoshiro256 rng(7);
-  ClusteredParams params;
-  params.nodes_s = 8;
-  params.extra_edges_s = 4;  // 11 source-side links
-  params.nodes_t = 3;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const AssignmentSet assignments =
-      enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
-  ASSERT_GT(assignments.size(), 0);
-  const SideProblem side =
-      make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
-  ASSERT_GE(side.view.num_edges(), 10);
-
-  SideArrayOptions serial = sweep_options(
-      SideSweepStrategy::kGrayIncremental, FeasibilityMethod::kAuto, true);
-  SideArrayOptions parallel = serial;
-  parallel.parallel = true;
-  EXPECT_EQ(build_side_array(side, assignments, 2, serial),
-            build_side_array(side, assignments, 2, parallel));
-}
-
-TEST(SideArrayIncremental, PruningCutsSolverCallsAndCountsDecisions) {
-  Xoshiro256 rng(99);
-  ClusteredParams params;
-  params.nodes_s = 9;
-  params.extra_edges_s = 4;  // 12 source-side links -> 4096 configurations
-  params.nodes_t = 3;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const AssignmentSet assignments =
-      enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
-  ASSERT_GT(assignments.size(), 0);
-  const SideProblem side =
-      make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
-
-  SideArrayStats scratch_stats, gray_stats, pruned_stats;
-  const auto scratch = build_side_array(
-      side, assignments, 2,
-      sweep_options(SideSweepStrategy::kScratch,
-                    FeasibilityMethod::kPerAssignment, true),
-      &scratch_stats);
-  const auto gray = build_side_array(
-      side, assignments, 2,
-      sweep_options(SideSweepStrategy::kGrayIncremental,
-                    FeasibilityMethod::kPerAssignment, false),
-      &gray_stats);
-  const auto pruned = build_side_array(
-      side, assignments, 2,
-      sweep_options(SideSweepStrategy::kGrayIncremental,
-                    FeasibilityMethod::kPerAssignment, true),
-      &pruned_stats);
-  EXPECT_EQ(scratch, gray);
-  EXPECT_EQ(scratch, pruned);
-
-  // The scratch sweep pays |D| solves per configuration; the Gray walk
-  // must beat it, and pruning must beat the plain Gray walk.
-  EXPECT_EQ(scratch_stats.maxflow_calls(),
-            static_cast<std::uint64_t>(assignments.size()) * scratch.size());
-  EXPECT_LT(gray_stats.maxflow_calls(), scratch_stats.maxflow_calls());
-  EXPECT_LT(pruned_stats.maxflow_calls(), gray_stats.maxflow_calls());
-  EXPECT_GT(pruned_stats.pruned_decisions(), 0u);
-  EXPECT_GT(pruned_stats.engine_toggles(), 0u);
-  EXPECT_EQ(scratch_stats.pruned_decisions(), 0u);
-}
-
-TEST(SideArrayIncremental, AutoStrategyStaysExactAcrossThreshold) {
-  // 2^12 configurations: kAuto resolves to the Gray walk; the array must
-  // match an explicit scratch run.
-  Xoshiro256 rng(1234);
-  ClusteredParams params;
-  params.nodes_s = 9;
-  params.extra_edges_s = 4;
-  params.nodes_t = 3;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const AssignmentSet assignments =
-      enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
-  ASSERT_GT(assignments.size(), 0);
-  const SideProblem side =
-      make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
-  EXPECT_EQ(build_side_array(side, assignments, 2,
-                             sweep_options(SideSweepStrategy::kScratch,
-                                           FeasibilityMethod::kAuto, true)),
-            build_side_array(side, assignments, 2));  // default options
-}
 
 TEST(BucketDistributionStreamed, MatchesDirectFold) {
   Xoshiro256 rng(4242);
@@ -253,7 +76,7 @@ TEST(BucketDistributionStreamed, HandlesZeroFailureProbabilities) {
 }
 
 // ---------------------------------------------------------------------------
-// External-mode IncrementalMaxFlow: the engine that powers the Gray sweep.
+// External-mode IncrementalMaxFlow: the side sweep's residue engine.
 
 Capacity scratch_bounded_flow(const FlowNetwork& net,
                               const std::vector<ConfigResidual::SuperArc>&

@@ -2,16 +2,18 @@
 // Shared helpers for the test suite: tiny canonical networks, an
 // INDEPENDENT max-flow oracle (Edmonds–Karp, a second solver next to the
 // library's Dinic), a brute-force reliability oracle built on it (coded
-// differently from src/reliability/naive.cpp on purpose), and float
-// comparison tolerances.
+// differently from src/reliability/naive.cpp on purpose), the paper's
+// one-solve-per-question side array, and float comparison tolerances.
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "streamrel/core/side_array.hpp"
 #include "streamrel/cuts/cut_enumeration.hpp"
 #include "streamrel/graph/flow_network.hpp"
+#include "streamrel/graph/generators.hpp"
 #include "streamrel/graph/graph_algos.hpp"
 #include "streamrel/maxflow/maxflow.hpp"
 #include "streamrel/util/bitops.hpp"
@@ -100,6 +102,65 @@ inline double brute_force_reliability(const FlowNetwork& net,
     }
   }
   return sum;
+}
+
+/// The paper's side array (§III-C) built the way the paper states it:
+/// one bounded max-flow per (configuration, assignment), through the
+/// production point evaluator. The oracle build_side_array must match.
+inline std::vector<Mask> oracle_side_array(const SideProblem& side,
+                                           const AssignmentSet& assignments,
+                                           Capacity demand_rate,
+                                           std::uint64_t* maxflow_calls =
+                                               nullptr) {
+  SideMaskEvaluator eval(side, assignments, demand_rate);
+  std::vector<Mask> array(std::size_t{1} << side.view.num_edges());
+  for (Mask c = 0; c < array.size(); ++c) array[c] = eval.realized(c);
+  if (maxflow_calls) *maxflow_calls += eval.maxflow_calls();
+  return array;
+}
+
+/// Directed copy of a planted two-cluster network in which every path
+/// runs S -> T: source-side links point away from the source, sink-side
+/// links toward the sink (by BFS depth inside each cluster), crossing
+/// links S -> T. Edge ids and order are kept. With no T -> S arc across
+/// the planted cut, kAuto resolves forward-only there.
+inline GeneratedNetwork orient_along_planted_cut(const GeneratedNetwork& g) {
+  const auto in_s = [&](NodeId n) {
+    return static_cast<bool>(g.side_s[static_cast<std::size_t>(n)]);
+  };
+  const auto depth_from = [&](NodeId root) {
+    std::vector<int> depth(static_cast<std::size_t>(g.net.num_nodes()), -1);
+    std::vector<NodeId> queue{root};
+    depth[static_cast<std::size_t>(root)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (EdgeId id : g.net.incident_edges(queue[head])) {
+        const NodeId next = g.net.edge(id).other(queue[head]);
+        if (in_s(next) != in_s(root) ||
+            depth[static_cast<std::size_t>(next)] != -1) {
+          continue;
+        }
+        depth[static_cast<std::size_t>(next)] =
+            depth[static_cast<std::size_t>(queue[head])] + 1;
+        queue.push_back(next);
+      }
+    }
+    return depth;
+  };
+  const std::vector<int> from_s = depth_from(g.source);
+  const std::vector<int> to_t = depth_from(g.sink);
+  GeneratedNetwork out = g;
+  out.net = FlowNetwork(g.net.num_nodes());
+  for (const Edge& e : g.net.edges()) {
+    const auto du = static_cast<std::size_t>(e.u);
+    const auto dv = static_cast<std::size_t>(e.v);
+    const bool along =
+        in_s(e.u) != in_s(e.v)
+            ? in_s(e.u)
+            : (in_s(e.u) ? from_s[du] <= from_s[dv] : to_t[du] >= to_t[dv]);
+    out.net.add_directed_edge(along ? e.u : e.v, along ? e.v : e.u,
+                              e.capacity, e.failure_prob);
+  }
+  return out;
 }
 
 /// Reference minimality test: `cut` disconnects s from t and no cut with

@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 7, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 8, "stale public surface");
 
 namespace {
 
@@ -23,6 +23,12 @@ namespace {
 [[maybe_unused]] streamrel::Capacity (streamrel::DinicSolver::*const kDinicSolve)(
     streamrel::ResidualGraph&, streamrel::NodeId, streamrel::NodeId,
     streamrel::Capacity) = &streamrel::DinicSolver::solve;
+
+// The one side-array sweep (API v8) takes no options.
+[[maybe_unused]] std::vector<streamrel::Mask> (*const kSideArray)(
+    const streamrel::SideProblem&, const streamrel::AssignmentSet&,
+    streamrel::Capacity, streamrel::SideArrayStats*,
+    const streamrel::ExecContext*) = &streamrel::build_side_array;
 
 // The wire schema (API v5) must be reachable from the installed tree.
 [[maybe_unused]] streamrel::WireRequest (*const kParseWire)(
