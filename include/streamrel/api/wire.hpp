@@ -231,10 +231,8 @@ std::string render_replay_summary(const ReplayReport& report, bool warm,
                                   double elapsed_ms);
 /// Solve result object for the wire ("reliability"/"status"/"method"/
 /// "engine"/"links_reduced"/"elapsed_ms" + optional bounds/telemetry).
-/// `extra_members` is spliced in as pre-rendered members (", \"k\": v").
 std::string render_solve_result(const SolveReport& report, double elapsed_ms,
-                                bool include_telemetry,
-                                std::string_view extra_members = {});
+                                bool include_telemetry);
 
 /// Inserts `key`: `value_json` before the closing brace of a rendered
 /// object ("{}" handled). value_json must be valid rendered JSON.

@@ -87,6 +87,11 @@ struct SideArrayStats {
   std::uint64_t scalar_residue() const {
     return telemetry.counter_or(telemetry_keys::kScalarResidue);
   }
+  /// Residue certificates that missed their own lane: 0 unless the
+  /// residue engine returned a wrong support or cut.
+  std::uint64_t certificate_misses() const {
+    return telemetry.counter_or(telemetry_keys::kCertificateMisses);
+  }
   /// Complete by construction: every counter this struct exposes —
   /// including the accessors above — is a view over `telemetry`, and the
   /// struct holds NO scalar members outside the telemetry tree, so

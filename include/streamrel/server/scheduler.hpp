@@ -60,17 +60,21 @@ struct LaneSnapshot {
 
 class RequestScheduler {
  public:
-  using Job = std::function<void()>;
+  using Clock = std::chrono::steady_clock;
+  /// A job receives the time it waited in the queue, in milliseconds.
+  using Job = std::function<void(double queue_ms)>;
+  /// The deadline of work that has none: it sorts after every deadline.
+  static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
   explicit RequestScheduler(const SchedulerOptions& options = {});
   ~RequestScheduler();
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Enqueues a job; deadline_ms is the request's effective budget from
-  /// now (0 = none, sorts last). Returns false — and runs nothing — when
-  /// the lane's queue is full.
-  bool submit(WireLane lane, double deadline_ms, Job job);
+  /// Enqueues a job under the request's absolute deadline (kNoDeadline
+  /// sorts last). Returns false — and runs nothing — when the lane's
+  /// queue is full.
+  bool submit(WireLane lane, Clock::time_point deadline, Job job);
 
   /// Expected queue wait for NEW work on `lane` right now:
   /// queued * ewma_service / effective_workers. Zero until the first
@@ -89,11 +93,8 @@ class RequestScheduler {
   int workers() const noexcept { return workers_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Entry {
-    bool has_deadline = false;
-    Clock::time_point deadline{};
+    Clock::time_point deadline = kNoDeadline;
     std::uint64_t seq = 0;
     Clock::time_point enqueued{};
     Job job;

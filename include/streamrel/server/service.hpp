@@ -5,18 +5,22 @@
 // server, the --stdio mode and the in-process tests all drive the same
 // handle_line()/execute() pair.
 //
+// Deadlines: a request's deadline is fixed once, when it is admitted —
+// min(request "deadline_ms", lane budget) counted from that instant —
+// so time spent waiting in the scheduler queue counts against it. A
+// worker that picks the request up hands the engines only what is left.
+//
 // Shedding semantics (the no-throw SolveStatus contract on the wire):
-// when a compute verb's effective deadline (request "deadline_ms"
-// tightened by the lane budget) is already blown by the estimated queue
-// wait — or has expired by the time a worker picks the job up — the
-// solve runs with a zero deadline, so the machinery returns a
-// kDeadlineExpired result with reliability bounds attached. The client
-// sees "ok": true with "status": "deadline_expired", "bounds" and
-// "shed": true — never a disconnect, never a throw. "ok": false is
-// reserved for protocol/usage errors (parse_error, bad_request,
-// unsupported_version, unknown_verb, unknown_network, overloaded,
-// internal); "overloaded" appears only when a lane queue is FULL and
-// the job cannot even be admitted.
+// when a compute verb's deadline is already blown by the estimated
+// queue wait at admission — or has passed by the time a worker picks
+// the job up — the solve runs with no time left, so the machinery
+// returns a kDeadlineExpired result with reliability bounds attached.
+// The client sees "ok": true with "status": "deadline_expired",
+// "bounds" and "shed": true — never a disconnect, never a throw.
+// "ok": false is reserved for protocol/usage errors (parse_error,
+// bad_request, unsupported_version, unknown_verb, unknown_network,
+// overloaded, internal); "overloaded" appears only when a lane queue is
+// FULL and the job cannot even be admitted.
 
 #include <atomic>
 #include <cstdint>
@@ -41,7 +45,7 @@ struct ServiceOptions {
   /// Global memory cap: total mask-table entries across all sessions.
   std::size_t global_mask_tables = 256;
   /// Lane deadline budgets (0 = none): every request on the lane runs
-  /// under min(request deadline, lane budget).
+  /// under min(request deadline, lane budget), counted from admission.
   double interactive_budget_ms = 0.0;
   double bulk_budget_ms = 0.0;
   SchedulerOptions scheduler;
@@ -80,10 +84,11 @@ class ReliabilityService {
   ReliabilityService(const ReliabilityService&) = delete;
   ReliabilityService& operator=(const ReliabilityService&) = delete;
 
-  /// Executes one parsed request synchronously on the calling thread.
+  /// Executes one parsed request synchronously on the calling thread,
+  /// admitted now. Inline execution never sheds.
   WireResponse execute(const WireRequest& request,
                        const RequestHooks& hooks = {}) {
-    return execute_impl(request, hooks, /*force_expired=*/false);
+    return execute_impl(request, hooks, deadline_from(request, Clock::now()));
   }
 
   /// Parses and routes one request line. Control verbs run inline;
@@ -115,8 +120,9 @@ class ReliabilityService {
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const FlightRecorder& flight_recorder() const noexcept { return flight_; }
 
+  /// Requests shed on both lanes (streamrel_sheds_total).
   std::uint64_t shed_count() const noexcept {
-    return shed_total_.load(std::memory_order_relaxed);
+    return sheds_[0]->value() + sheds_[1]->value();
   }
 
   /// What the constructor's restore-on-boot pass found under state_dir
@@ -139,17 +145,22 @@ class ReliabilityService {
   WireResponse reject_oversized_line();
 
  private:
+  using Clock = RequestScheduler::Clock;
+
   WireResponse reject_unparsed(const WireParseError& error);
+  /// Runs one admitted request. `queue_ms` < 0 means it ran inline;
+  /// a queued request whose deadline has passed at pickup is shed.
   WireResponse execute_impl(const WireRequest& request,
-                            const RequestHooks& hooks, bool force_expired,
-                            double queue_us = -1.0);
+                            const RequestHooks& hooks,
+                            Clock::time_point deadline,
+                            double queue_ms = -1.0);
   WireResponse do_register(const WireRequest& request);
   WireResponse do_solve(const WireRequest& request, const RequestHooks& hooks,
-                        bool force_expired, RequestRecord* record);
+                        Clock::time_point deadline, RequestRecord* record);
   WireResponse do_batch(const WireRequest& request, const RequestHooks& hooks,
-                        bool force_expired);
-  WireResponse do_replay(const WireRequest& request, const RequestHooks& hooks,
-                         bool force_expired);
+                        Clock::time_point deadline);
+  WireResponse do_replay(const WireRequest& request,
+                         Clock::time_point deadline);
   WireResponse do_apply_delta(const WireRequest& request);
   WireResponse do_metrics(const WireRequest& request);
   WireResponse do_dump(const WireRequest& request);
@@ -157,21 +168,29 @@ class ReliabilityService {
   WireResponse do_restore(const WireRequest& request);
   std::shared_ptr<TenantSession> find_session(const WireRequest& request,
                                               WireResponse* error) const;
-  double lane_budget_ms(WireLane lane) const noexcept;
+  /// The request's absolute deadline when admitted at `admitted`: the
+  /// tighter of its deadline_ms and its lane's budget (kNoDeadline when
+  /// neither is set).
+  Clock::time_point deadline_from(const WireRequest& request,
+                                  Clock::time_point admitted) const noexcept;
 
   /// Folds one solve's telemetry counters into engine-labeled series
   /// (the telemetry -> metrics bridge: no double bookkeeping in the
   /// engines themselves).
   void bridge_solve_telemetry(std::string_view engine,
                               const Telemetry& telemetry);
-  /// Counter/histogram updates for one finished request.
-  void note_request(const RequestRecord& record, double queue_us);
+  /// A record for `request`, numbered in arrival order.
+  RequestRecord start_record(const WireRequest& request);
+  /// Records one finished request everywhere it is counted: the error
+  /// total, the request metrics, the JSON request log and the flight
+  /// recorder. `queue_ms` < 0: the request never waited in the queue.
+  /// `parsed` false labels the metrics' verb "?" (the raw verb of a
+  /// line that never parsed would mint a series per typo).
+  void finish(RequestRecord record, double queue_ms = -1.0,
+              const TraceCapture* capture = nullptr, bool parsed = true);
   /// Sets the scrape-time gauges (lanes, sessions, caches) from the
   /// scheduler and registry snapshots.
   void refresh_scrape_gauges();
-  std::atomic<std::uint64_t>& lane_shed(WireLane lane) noexcept {
-    return shed_lane_[static_cast<int>(lane)];
-  }
 
   ServiceOptions options_;
   SessionRegistry registry_;
@@ -183,8 +202,8 @@ class ReliabilityService {
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> errors_total_{0};
-  std::atomic<std::uint64_t> shed_total_{0};
-  std::atomic<std::uint64_t> shed_lane_[2] = {};
+  /// streamrel_sheds_total per lane, incremented where the shed happens.
+  MetricCounter* sheds_[2] = {};
   std::atomic<std::uint64_t> request_seq_{0};
 };
 

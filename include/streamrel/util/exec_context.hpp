@@ -65,20 +65,6 @@ class ExecContext {
     has_deadline_ = true;
   }
 
-  /// Derives the effective deadline from a per-request budget and the
-  /// serving lane's budget: the tighter of the two positive values wins;
-  /// both non-positive leaves the context deadline-free. The daemon
-  /// (server/service) calls this once per scheduled request.
-  void apply_deadline_budgets(double request_ms, double lane_budget_ms) {
-    double effective = 0.0;
-    if (request_ms > 0.0) effective = request_ms;
-    if (lane_budget_ms > 0.0 &&
-        (effective <= 0.0 || lane_budget_ms < effective)) {
-      effective = lane_budget_ms;
-    }
-    if (effective > 0.0) set_deadline_ms(effective);
-  }
-
   bool has_deadline() const noexcept { return has_deadline_; }
 
   /// Milliseconds until the deadline (negative when expired); +inf when

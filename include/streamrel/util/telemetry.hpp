@@ -39,6 +39,10 @@ inline constexpr std::string_view kLanesCertificate = "lanes_certificate";
 inline constexpr std::string_view kLanesConnectivity = "lanes_connectivity";
 inline constexpr std::string_view kLanesPopcount = "lanes_popcount";
 inline constexpr std::string_view kScalarResidue = "scalar_residue";
+// Fresh residue certificates that failed to decide their own lane (a
+// solver fault; the lane is decided from the engine instead). Absent
+// when zero.
+inline constexpr std::string_view kCertificateMisses = "certificate_misses";
 // QuerySession / BatchEvaluator serving-layer counters.
 inline constexpr std::string_view kQueries = "queries";
 inline constexpr std::string_view kFallbackSolves = "fallback_solves";

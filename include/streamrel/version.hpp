@@ -36,7 +36,11 @@
 /// `options` parameter of build_side_array / build_side_array_slab, the
 /// maxflow_calls-pointer overload of build_side_array, the
 /// pruned_decisions telemetry key and both pruned_decisions() accessors.
-#define STREAMREL_API_VERSION 8
+/// v9: one request path — RequestScheduler::submit takes an absolute
+/// steady_clock deadline (kNoDeadline for none) and its Job receives the
+/// measured queue wait; ExecContext::apply_deadline_budgets and the
+/// extra_members parameter of render_solve_result are gone.
+#define STREAMREL_API_VERSION 9
 
 namespace streamrel {
 

@@ -645,8 +645,7 @@ std::string render_replay_summary(const ReplayReport& report, bool warm,
 }
 
 std::string render_solve_result(const SolveReport& report, double elapsed_ms,
-                                bool include_telemetry,
-                                std::string_view extra_members) {
+                                bool include_telemetry) {
   std::string out =
       "{\"reliability\": " + format_double(report.result.reliability, 10) +
       ", \"status\": \"" + std::string(to_string(report.result.status)) +
@@ -662,7 +661,6 @@ std::string render_solve_result(const SolveReport& report, double elapsed_ms,
   if (include_telemetry) {
     out += ", \"telemetry\": " + report.result.telemetry.to_json();
   }
-  out.append(extra_members);
   out += "}";
   return out;
 }

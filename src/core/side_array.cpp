@@ -84,6 +84,7 @@ struct SweepCounters {
   std::uint64_t lanes_connectivity = 0;
   std::uint64_t lanes_popcount = 0;
   std::uint64_t scalar_residue = 0;
+  std::uint64_t certificate_misses = 0;
 
   void merge(const SweepCounters& other) noexcept {
     maxflow_calls += other.maxflow_calls;
@@ -92,6 +93,7 @@ struct SweepCounters {
     lanes_connectivity += other.lanes_connectivity;
     lanes_popcount += other.lanes_popcount;
     scalar_residue += other.scalar_residue;
+    certificate_misses += other.certificate_misses;
   }
 
   void flush(Telemetry& telemetry) const {
@@ -104,6 +106,11 @@ struct SweepCounters {
         lanes_connectivity;
     telemetry.counter(telemetry_keys::kLanesPopcount) += lanes_popcount;
     telemetry.counter(telemetry_keys::kScalarResidue) += scalar_residue;
+    // Only a faulty certificate creates this series.
+    if (certificate_misses != 0) {
+      telemetry.counter(telemetry_keys::kCertificateMisses) +=
+          certificate_misses;
+    }
   }
 };
 
@@ -537,8 +544,14 @@ void sweep_side(const SideProblem& side, const AssignmentSet& assignments,
           a.bank.push(cert);
           // The fresh certificate always covers its own lane (support
           // is alive at `config`; no cut edge dead at `config` is alive
-          // there), so the loop strictly shrinks `undecided`.
-          const std::uint64_t w = cert_decided_lanes(cert, slabs, undecided);
+          // there). Should a faulty one miss it, the engine's verdict
+          // decides the lane anyway, so the loop strictly shrinks
+          // `undecided`.
+          std::uint64_t w = cert_decided_lanes(cert, slabs, undecided);
+          if ((w & bit(L)) == 0) {
+            w |= bit(L);
+            ++stats.certificate_misses;
+          }
           if (cert.admits) yes |= w;
           undecided &= ~w;
           ++stats.scalar_residue;

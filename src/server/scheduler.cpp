@@ -33,16 +33,11 @@ std::size_t RequestScheduler::bulk_cap() const noexcept {
   return static_cast<std::size_t>(std::max(workers_ / bulk_share_, 1));
 }
 
-bool RequestScheduler::submit(WireLane lane, double deadline_ms, Job job) {
-  const Clock::time_point now = Clock::now();
+bool RequestScheduler::submit(WireLane lane, Clock::time_point deadline,
+                              Job job) {
   Entry entry;
-  entry.enqueued = now;
-  if (deadline_ms > 0.0) {
-    entry.has_deadline = true;
-    entry.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   deadline_ms));
-  }
+  entry.deadline = deadline;
+  entry.enqueued = Clock::now();
   entry.job = std::move(job);
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -114,12 +109,8 @@ bool RequestScheduler::pick(Entry* out, WireLane* out_lane) {
       }
       const Entry& a = l.queue[i];
       const Entry& b = lanes_[best_lane].queue[best_index];
-      const bool earlier =
-          a.has_deadline
-              ? (!b.has_deadline || a.deadline < b.deadline ||
-                 (a.deadline == b.deadline && a.seq < b.seq))
-              : (!b.has_deadline && a.seq < b.seq);
-      if (earlier) {
+      if (a.deadline < b.deadline ||
+          (a.deadline == b.deadline && a.seq < b.seq)) {
         best_lane = li;
         best_index = i;
       }
@@ -147,10 +138,11 @@ void RequestScheduler::worker_loop() {
     l.running += 1;
     active_ += 1;
     const Clock::time_point start = Clock::now();
-    l.queue_hist.record_ms(ms_between(entry.enqueued, start));
+    const double queue_ms = ms_between(entry.enqueued, start);
+    l.queue_hist.record_ms(queue_ms);
     lock.unlock();
 
-    entry.job();
+    entry.job(queue_ms);
 
     const double service_ms = ms_between(start, Clock::now());
     lock.lock();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,30 @@ std::pair<std::string, std::string> split_session_key(
   return {name.substr(0, slash), name.substr(slash + 1)};
 }
 
+/// An ok response addressed to `request`, result still empty.
+WireResponse envelope(const WireRequest& request) {
+  WireResponse resp;
+  resp.id_json = request.id_json;
+  resp.verb.assign(to_string(request.verb));
+  return resp;
+}
+
+using Clock = RequestScheduler::Clock;
+
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+/// The engines' relative budget (0 = none) for a request due at
+/// `deadline`: the time left now. A deadline already passed gives the
+/// smallest positive budget, which stops every engine at its first poll
+/// with bounds attached.
+double budget_ms(Clock::time_point deadline) {
+  if (deadline == RequestScheduler::kNoDeadline) return 0.0;
+  return std::max(ms_between(Clock::now(), deadline),
+                  std::numeric_limits<double>::min());
+}
+
 std::uint64_t unix_millis_now() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -78,11 +103,15 @@ ReliabilityService::ReliabilityService(const ServiceOptions& options)
   // Pre-register the families a quiet daemon must still expose
   // (metrics_check --require runs before any overload or persist verb).
   for (const WireLane lane : {WireLane::kInteractive, WireLane::kBulk}) {
+    const MetricLabels labels{{"lane", std::string(to_string(lane))}};
     metrics_
         .counter("streamrel_backpressure_rejects_total",
                  "Request lines refused by the connection in-flight cap",
-                 MetricLabels{{"lane", std::string(to_string(lane))}})
+                 labels)
         .inc(0);
+    sheds_[static_cast<int>(lane)] = &metrics_.counter(
+        "streamrel_sheds_total",
+        "Requests shed (deadline blown in queue or pre-admission)", labels);
   }
   if (registry_.persistent()) {
     metrics_.histogram("streamrel_checkpoint_duration_ms",
@@ -109,9 +138,18 @@ ReliabilityService::~ReliabilityService() {
   if (registry_.persistent()) registry_.checkpoint_all();
 }
 
-double ReliabilityService::lane_budget_ms(WireLane lane) const noexcept {
-  return lane == WireLane::kInteractive ? options_.interactive_budget_ms
-                                        : options_.bulk_budget_ms;
+Clock::time_point ReliabilityService::deadline_from(
+    const WireRequest& request, Clock::time_point admitted) const noexcept {
+  const double lane_ms = request.lane == WireLane::kInteractive
+                             ? options_.interactive_budget_ms
+                             : options_.bulk_budget_ms;
+  double ms = request.deadline_ms;
+  if (lane_ms > 0.0 && (ms <= 0.0 || lane_ms < ms)) ms = lane_ms;
+  // deadline_ms comes off the wire unbounded: a budget of a year or more
+  // is treated as none rather than overflowing the time point.
+  if (!(ms > 0.0) || ms >= 3.2e10) return RequestScheduler::kNoDeadline;
+  return admitted + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(ms));
 }
 
 void ReliabilityService::drain() {
@@ -140,9 +178,7 @@ WireResponse ReliabilityService::do_register(const WireRequest& request) {
       request.tenant, request.network_id, file.net, demand,
       request.max_mask_tables);
 
-  WireResponse resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
+  WireResponse resp = envelope(request);
   std::string result = "{}";
   append_json_member(result, "tenant", json_quote(request.tenant));
   append_json_member(result, "network_id", json_quote(request.network_id));
@@ -165,13 +201,11 @@ WireResponse ReliabilityService::do_register(const WireRequest& request) {
 
 WireResponse ReliabilityService::do_solve(const WireRequest& request,
                                           const RequestHooks& hooks,
-                                          bool force_expired,
+                                          Clock::time_point deadline,
                                           RequestRecord* record) {
-  WireResponse resp;
+  WireResponse resp = envelope(request);
   const std::shared_ptr<TenantSession> session = find_session(request, &resp);
   if (!session) return resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
 
   const FlowDemand demand =
       resolve_demand(session->default_demand(), request.query);
@@ -179,11 +213,8 @@ WireResponse ReliabilityService::do_solve(const WireRequest& request,
   ExecContext ctx;
   ctx.max_threads = request.max_threads;
   ctx.progress = hooks.progress;
-  if (force_expired) {
-    ctx.set_deadline_ms(0.0);
-  } else {
-    ctx.apply_deadline_budgets(request.deadline_ms,
-                               lane_budget_ms(request.lane));
+  if (const double budget = budget_ms(deadline); budget > 0.0) {
+    ctx.set_deadline_ms(budget);
   }
 
   SolveOptions options;
@@ -198,21 +229,17 @@ WireResponse ReliabilityService::do_solve(const WireRequest& request,
     record->status.assign(to_string(report.result.status));
   }
   bridge_solve_telemetry(report.engine, report.result.telemetry);
-  resp.result_json = render_solve_result(
-      report, timer.elapsed_ms(), request.want_telemetry,
-      force_expired ? std::string_view(", \"shed\": true")
-                    : std::string_view());
+  resp.result_json =
+      render_solve_result(report, timer.elapsed_ms(), request.want_telemetry);
   return resp;
 }
 
 WireResponse ReliabilityService::do_batch(const WireRequest& request,
                                           const RequestHooks& hooks,
-                                          bool force_expired) {
-  WireResponse resp;
+                                          Clock::time_point deadline) {
+  WireResponse resp = envelope(request);
   const std::shared_ptr<TenantSession> session = find_session(request, &resp);
   if (!session) return resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
 
   const FlowDemand base_demand = session->default_demand();
   std::vector<WhatIfQuery> queries;
@@ -232,16 +259,7 @@ WireResponse ReliabilityService::do_batch(const WireRequest& request,
   BatchOptions options;
   options.max_threads = request.max_threads;
   options.progress = hooks.progress;
-  if (force_expired) {
-    options.deadline_ms = 1e-9;  // already shed: bounds-only pass
-  } else {
-    double effective = request.deadline_ms;
-    const double budget = lane_budget_ms(request.lane);
-    if (budget > 0.0 && (effective <= 0.0 || budget < effective)) {
-      effective = budget;
-    }
-    options.deadline_ms = effective;
-  }
+  options.deadline_ms = budget_ms(deadline);
 
   const Stopwatch timer;
   const BatchReport batch = session->batch(queries, options);
@@ -271,17 +289,14 @@ WireResponse ReliabilityService::do_batch(const WireRequest& request,
   if (request.want_telemetry) {
     append_json_member(result, "telemetry", batch.telemetry.to_json());
   }
-  if (force_expired) append_json_member(result, "shed", "true");
   resp.result_json = std::move(result);
   return resp;
 }
 
 WireResponse ReliabilityService::do_apply_delta(const WireRequest& request) {
-  WireResponse resp;
+  WireResponse resp = envelope(request);
   const std::shared_ptr<TenantSession> session = find_session(request, &resp);
   if (!session) return resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
 
   const DeltaOutcome outcome = session->apply_delta(request.delta);
   std::string result = "{}";
@@ -302,14 +317,10 @@ WireResponse ReliabilityService::do_apply_delta(const WireRequest& request) {
 }
 
 WireResponse ReliabilityService::do_replay(const WireRequest& request,
-                                           const RequestHooks& hooks,
-                                           bool force_expired) {
-  (void)hooks;
-  WireResponse resp;
+                                           Clock::time_point deadline) {
+  WireResponse resp = envelope(request);
   const std::shared_ptr<TenantSession> session = find_session(request, &resp);
   if (!session) return resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
 
   const FlowNetwork net = session->network_copy();
   const FlowDemand demand = session->default_demand();
@@ -319,16 +330,7 @@ WireResponse ReliabilityService::do_replay(const WireRequest& request,
   ReplayOptions options;
   options.cache = options_.default_cache;
   options.use_session = !request.cold;
-  if (force_expired) {
-    options.solve.deadline_ms = 1e-9;
-  } else {
-    double effective = request.deadline_ms;
-    const double budget = lane_budget_ms(request.lane);
-    if (budget > 0.0 && (effective <= 0.0 || budget < effective)) {
-      effective = budget;
-    }
-    options.solve.deadline_ms = effective;
-  }
+  options.solve.deadline_ms = budget_ms(deadline);
   options.solve.max_threads = request.max_threads;
 
   const Stopwatch timer;
@@ -357,7 +359,6 @@ WireResponse ReliabilityService::do_replay(const WireRequest& request,
   if (request.want_telemetry) {
     append_json_member(result, "telemetry", report.telemetry.to_json());
   }
-  if (force_expired) append_json_member(result, "shed", "true");
   resp.result_json = std::move(result);
   return resp;
 }
@@ -376,21 +377,15 @@ std::string ReliabilityService::stats_json() const {
   append_json_member(
       out, "errors",
       std::to_string(errors_total_.load(std::memory_order_relaxed)));
-  append_json_member(
-      out, "shed",
-      std::to_string(shed_total_.load(std::memory_order_relaxed)));
+  append_json_member(out, "shed", std::to_string(shed_count()));
   if (scheduler_) {
     std::string lanes = "{}";
-    append_json_member(
-        lanes, "interactive",
-        lane_json(scheduler_->lane_snapshot(WireLane::kInteractive),
-                  shed_lane_[static_cast<int>(WireLane::kInteractive)].load(
-                      std::memory_order_relaxed)));
-    append_json_member(
-        lanes, "bulk",
-        lane_json(scheduler_->lane_snapshot(WireLane::kBulk),
-                  shed_lane_[static_cast<int>(WireLane::kBulk)].load(
-                      std::memory_order_relaxed)));
+    for (const WireLane lane : {WireLane::kInteractive, WireLane::kBulk}) {
+      append_json_member(
+          lanes, to_string(lane),
+          lane_json(scheduler_->lane_snapshot(lane),
+                    sheds_[static_cast<int>(lane)]->value()));
+    }
     append_json_member(out, "lanes", lanes);
   }
   const PersistTotals& persist = registry.persist;
@@ -454,9 +449,24 @@ void ReliabilityService::bridge_solve_telemetry(std::string_view engine,
   }
 }
 
-void ReliabilityService::note_request(const RequestRecord& record,
-                                      double queue_us) {
-  MetricLabels by_code{{"verb", record.verb},
+RequestRecord ReliabilityService::start_record(const WireRequest& request) {
+  RequestRecord record;
+  record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  record.id_json = request.id_json;
+  record.tenant = request.tenant;
+  record.network_id = request.network_id;
+  record.verb.assign(to_string(request.verb));
+  record.lane.assign(to_string(request.lane));
+  return record;
+}
+
+void ReliabilityService::finish(RequestRecord record, double queue_ms,
+                                const TraceCapture* capture, bool parsed) {
+  if (!record.ok) errors_total_.fetch_add(1, std::memory_order_relaxed);
+  record.unix_ms = unix_millis_now();
+  static const std::string kUnparsedVerb = "?";
+  const std::string& verb = parsed ? record.verb : kUnparsedVerb;
+  MetricLabels by_code{{"verb", verb},
                        {"lane", record.lane},
                        {"code", record.error_code.empty()
                                     ? (record.shed ? "shed" : "ok")
@@ -466,25 +476,31 @@ void ReliabilityService::note_request(const RequestRecord& record,
                "Finished wire requests by verb, lane and outcome code",
                by_code)
       .inc();
-  if (!record.error_code.empty()) {
+  if (!record.ok) {
     metrics_
         .counter("streamrel_errors_total", "Error responses by wire code",
                  MetricLabels{{"code", record.error_code}})
         .inc();
   }
-  MetricLabels by_verb{{"verb", record.verb}, {"lane", record.lane}};
+  MetricLabels by_verb{{"verb", verb}, {"lane", record.lane}};
   metrics_
       .histogram("streamrel_request_latency_ms",
                  "Request execution latency (pickup to response rendered)",
                  default_latency_buckets_ms(), by_verb)
       .observe(record.solve_us / 1000.0);
-  if (queue_us >= 0.0) {
+  if (queue_ms >= 0.0) {
     metrics_
         .histogram("streamrel_queue_time_ms",
                    "Actual time in the scheduler queue",
                    default_latency_buckets_ms(),
                    MetricLabels{{"lane", record.lane}})
-        .observe(queue_us / 1000.0);
+        .observe(queue_ms);
+  }
+  logger_.log(record);
+  if (capture) {
+    flight_.record(std::move(record), capture->events(), capture->dropped());
+  } else {
+    flight_.record(std::move(record));
   }
 }
 
@@ -521,12 +537,6 @@ void ReliabilityService::refresh_scrape_gauges() {
           .counter("streamrel_lane_rejected_total",
                    "Jobs refused at admission (queue full)", labels)
           .set_at_least(snap.rejected);
-      metrics_
-          .counter("streamrel_sheds_total",
-                   "Requests shed (deadline blown in queue or pre-admission)",
-                   labels)
-          .set_at_least(
-              shed_lane_[static_cast<int>(lane)].load(std::memory_order_relaxed));
     }
   }
   const RegistryStats registry = registry_.stats();
@@ -635,9 +645,7 @@ std::string ReliabilityService::metrics_text() {
 }
 
 WireResponse ReliabilityService::do_metrics(const WireRequest& request) {
-  WireResponse resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
+  WireResponse resp = envelope(request);
   const std::string text = metrics_text();
   std::string result = "{}";
   append_json_member(result, "series",
@@ -650,9 +658,7 @@ WireResponse ReliabilityService::do_metrics(const WireRequest& request) {
 }
 
 WireResponse ReliabilityService::do_dump(const WireRequest& request) {
-  WireResponse resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
+  WireResponse resp = envelope(request);
   const std::vector<FlightEntry> entries = flight_.snapshot();
   std::string records = "[";
   std::size_t spans = 0;
@@ -693,11 +699,9 @@ WireResponse ReliabilityService::do_persist(const WireRequest& request) {
                            "persistence is off (start the daemon with "
                            "--state-dir)");
   }
-  WireResponse resp;
+  WireResponse resp = envelope(request);
   const std::shared_ptr<TenantSession> session = find_session(request, &resp);
   if (!session) return resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
 
   const Stopwatch timer;
   std::string error;
@@ -756,9 +760,7 @@ WireResponse ReliabilityService::do_restore(const WireRequest& request) {
                  default_latency_buckets_ms())
       .observe(elapsed_ms);
 
-  WireResponse resp;
-  resp.id_json = request.id_json;
-  resp.verb.assign(to_string(request.verb));
+  WireResponse resp = envelope(request);
   std::string result = "{}";
   append_json_member(result, "tenant", json_quote(request.tenant));
   append_json_member(result, "network_id", json_quote(request.network_id));
@@ -774,7 +776,6 @@ WireResponse ReliabilityService::do_restore(const WireRequest& request) {
 }
 
 WireResponse ReliabilityService::reject_unparsed(const WireParseError& e) {
-  errors_total_.fetch_add(1, std::memory_order_relaxed);
   // Protocol rejects never reach execute_impl, but they are still
   // requests the operator wants on dashboards and in the flight
   // recorder (a client suddenly speaking garbage is an incident).
@@ -785,15 +786,7 @@ WireResponse ReliabilityService::reject_unparsed(const WireParseError& e) {
   record.lane.assign(to_string(WireLane::kInteractive));
   record.ok = false;
   record.error_code = e.code();
-  record.unix_ms = unix_millis_now();
-  // The verb label must stay bounded: a client-supplied verb string
-  // would mint a fresh series per typo. The log/flight record keeps
-  // the raw verb for debugging; the metric gets the catch-all.
-  RequestRecord metric_view = record;
-  metric_view.verb = "?";
-  note_request(metric_view, -1.0);
-  logger_.log(record);
-  flight_.record(record);
+  finish(std::move(record), -1.0, nullptr, /*parsed=*/false);
   return make_wire_error(e.id_json(), e.verb(), e.code(), e.what());
 }
 
@@ -812,49 +805,32 @@ WireResponse ReliabilityService::reject_overloaded(std::string_view line) {
     // in-flight cap only shapes well-formed traffic.
     return reject_unparsed(e);
   }
-  errors_total_.fetch_add(1, std::memory_order_relaxed);
-  RequestRecord record;
-  record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  RequestRecord record = start_record(request);
   record.ok = false;
-  record.unix_ms = unix_millis_now();
-  record.id_json = request.id_json;
-  record.tenant = request.tenant;
-  record.network_id = request.network_id;
-  record.verb.assign(to_string(request.verb));
-  record.lane.assign(to_string(request.lane));
   record.error_code = "overloaded";
-
   metrics_
       .counter("streamrel_backpressure_rejects_total",
                "Request lines refused by the connection in-flight cap",
                MetricLabels{{"lane", record.lane}})
       .inc();
-  note_request(record, -1.0);
-  logger_.log(record);
-  flight_.record(record);
-  return make_wire_error(request.id_json, record.verb, "overloaded",
+  finish(std::move(record));
+  return make_wire_error(request.id_json, to_string(request.verb),
+                         "overloaded",
                          "connection has too many in-flight requests; retry "
                          "after a response drains");
 }
 
 WireResponse ReliabilityService::execute_impl(const WireRequest& request,
                                               const RequestHooks& hooks,
-                                              bool force_expired,
-                                              double queue_us) {
+                                              Clock::time_point deadline,
+                                              double queue_ms) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
-  if (force_expired) {
-    shed_total_.fetch_add(1, std::memory_order_relaxed);
-    lane_shed(request.lane).fetch_add(1, std::memory_order_relaxed);
-  }
-  RequestRecord record;
-  record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  record.id_json = request.id_json;
-  record.tenant = request.tenant;
-  record.network_id = request.network_id;
-  record.verb.assign(to_string(request.verb));
-  record.lane.assign(to_string(request.lane));
-  record.shed = force_expired;
-  record.queue_us = queue_us > 0.0 ? queue_us : 0.0;
+  RequestRecord record = start_record(request);
+  // Only queued work sheds: its deadline passed while it waited, or the
+  // admission-time queue estimate set it to the admission instant.
+  record.shed = queue_ms >= 0.0 && Clock::now() >= deadline;
+  if (record.shed) sheds_[static_cast<int>(request.lane)]->inc();
+  record.queue_us = queue_ms > 0.0 ? queue_ms * 1000.0 : 0.0;
 
   WireResponse resp;
   const Stopwatch exec_timer;
@@ -866,20 +842,19 @@ WireResponse ReliabilityService::execute_impl(const WireRequest& request,
         resp = do_register(request);
         break;
       case WireVerb::kSolve:
-        resp = do_solve(request, hooks, force_expired, &record);
+        resp = do_solve(request, hooks, deadline, &record);
         break;
       case WireVerb::kBatch:
-        resp = do_batch(request, hooks, force_expired);
+        resp = do_batch(request, hooks, deadline);
         break;
       case WireVerb::kApplyDelta:
         resp = do_apply_delta(request);
         break;
       case WireVerb::kReplay:
-        resp = do_replay(request, hooks, force_expired);
+        resp = do_replay(request, deadline);
         break;
       case WireVerb::kStats:
-        resp.id_json = request.id_json;
-        resp.verb.assign(to_string(request.verb));
+        resp = envelope(request);
         resp.result_json = stats_json();
         break;
       case WireVerb::kMetrics:
@@ -914,11 +889,13 @@ WireResponse ReliabilityService::execute_impl(const WireRequest& request,
                              std::to_string(failures));
         }
         shutdown_.store(true, std::memory_order_relaxed);
-        resp.id_json = request.id_json;
-        resp.verb.assign(to_string(request.verb));
+        resp = envelope(request);
         resp.result_json = std::move(result);
         break;
       }
+    }
+    if (record.shed && resp.ok) {
+      append_json_member(resp.result_json, "shed", "true");
     }
     if (capture && resp.ok) {
       append_json_member(resp.result_json, "trace", capture->summary_json());
@@ -933,21 +910,11 @@ WireResponse ReliabilityService::execute_impl(const WireRequest& request,
     resp = make_wire_error(request.id_json, to_string(request.verb),
                            "internal", e.what());
   }
-  if (!resp.ok) errors_total_.fetch_add(1, std::memory_order_relaxed);
 
   record.ok = resp.ok;
   record.error_code = resp.error_code;
   record.solve_us = exec_timer.elapsed_ms() * 1000.0;
-  record.unix_ms = unix_millis_now();
-  note_request(record, queue_us);
-  std::vector<TraceEvent> spans;
-  std::uint64_t dropped_spans = 0;
-  if (capture) {
-    spans = capture->events();
-    dropped_spans = capture->dropped();
-  }
-  logger_.log(record);
-  flight_.record(std::move(record), std::move(spans), dropped_spans);
+  finish(std::move(record), queue_ms, capture ? &*capture : nullptr);
   return resp;
 }
 
@@ -970,49 +937,28 @@ void ReliabilityService::handle_line(std::string_view line,
     return;
   }
 
-  // Effective admission deadline: the request budget tightened by the
-  // lane budget. The scheduler sorts by it; we shed up front when the
-  // estimated queue wait alone would blow it, and again at pick-up time
-  // when the wait actually did.
-  double effective_ms = request.deadline_ms;
-  const double budget = lane_budget_ms(request.lane);
-  if (budget > 0.0 && (effective_ms <= 0.0 || budget < effective_ms)) {
-    effective_ms = budget;
-  }
-  const double estimate_ms = scheduler_->estimate_queue_ms(request.lane);
-  const bool shed_hint = effective_ms > 0.0 && estimate_ms > effective_ms;
-  metrics_
-      .gauge("streamrel_queue_estimate_ms",
-             "EWMA-based expected queue wait for new work",
-             MetricLabels{{"lane", std::string(to_string(request.lane))}})
-      .set(estimate_ms);
-
-  using Clock = std::chrono::steady_clock;
-  const bool has_deadline = effective_ms > 0.0;
+  // Admission fixes the deadline once. The scheduler sorts by it; when
+  // the estimated queue wait alone would blow it, it is moved to the
+  // admission instant so the request sheds at pickup.
   const Clock::time_point admitted = Clock::now();
-  const Clock::duration budget_dur =
-      std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              has_deadline ? effective_ms : 0.0));
+  Clock::time_point deadline = deadline_from(request, admitted);
+  const double estimate_ms = scheduler_->estimate_queue_ms(request.lane);
+  if (ms_between(admitted, deadline) < estimate_ms) deadline = admitted;
 
-  // std::function requires copyable callables: share the request and
-  // completion across the copies.
-  auto shared_request = std::make_shared<WireRequest>(std::move(request));
-  auto shared_done =
-      std::make_shared<std::function<void(WireResponse)>>(std::move(done));
-  auto shared_hooks = std::make_shared<RequestHooks>(hooks);
+  // std::function requires copyable callables: the copies share one
+  // admitted request.
+  struct Admitted {
+    WireRequest request;
+    std::function<void(WireResponse)> done;
+    RequestHooks hooks;
+  };
+  const auto job = std::make_shared<Admitted>(
+      Admitted{std::move(request), std::move(done), hooks});
+  const WireLane lane = job->request.lane;
   const bool admitted_ok = scheduler_->submit(
-      shared_request->lane, effective_ms,
-      [this, shared_request, shared_done, shared_hooks, shed_hint,
-       has_deadline, admitted, budget_dur, estimate_ms, effective_ms] {
-        const Clock::time_point picked_up = Clock::now();
-        const bool expired_in_queue =
-            has_deadline && picked_up >= admitted + budget_dur;
-        const double queue_ms =
-            std::chrono::duration<double, std::milli>(picked_up - admitted)
-                .count();
+      lane, deadline, [this, job, estimate_ms, deadline](double queue_ms) {
         const MetricLabels lane_labels{
-            {"lane", std::string(to_string(shared_request->lane))}};
+            {"lane", std::string(to_string(job->request.lane))}};
         // Queue-time EWMA vs. actual: the estimator's absolute error,
         // the signal that tells an operator whether shedding decisions
         // are being made on good predictions.
@@ -1021,45 +967,30 @@ void ReliabilityService::handle_line(std::string_view line,
                        "Absolute error of the queue-wait estimate at admission",
                        default_latency_buckets_ms(), lane_labels)
             .observe(std::abs(queue_ms - estimate_ms));
-        if (has_deadline) {
+        if (deadline != RequestScheduler::kNoDeadline) {
           metrics_
               .histogram(
                   "streamrel_deadline_margin_ms",
                   "Effective deadline remaining when a worker picked the job "
                   "up (zero = shed in queue)",
                   default_latency_buckets_ms(), lane_labels)
-              .observe(std::max(0.0, effective_ms - queue_ms));
+              .observe(std::max(0.0, ms_between(Clock::now(), deadline)));
         }
-        (*shared_done)(execute_impl(*shared_request, *shared_hooks,
-                                    shed_hint || expired_in_queue,
-                                    queue_ms * 1000.0));
+        job->done(execute_impl(job->request, job->hooks, deadline, queue_ms));
       });
   if (!admitted_ok) {
-    errors_total_.fetch_add(1, std::memory_order_relaxed);
-    shed_total_.fetch_add(1, std::memory_order_relaxed);
-    lane_shed(shared_request->lane)
-        .fetch_add(1, std::memory_order_relaxed);
     // Refused before admission: execute_impl never runs, so record the
     // outcome here — overload is exactly the signal the metrics exist
     // to make visible.
-    RequestRecord record;
-    record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    record.id_json = shared_request->id_json;
-    record.tenant = shared_request->tenant;
-    record.network_id = shared_request->network_id;
-    record.verb.assign(to_string(shared_request->verb));
-    record.lane.assign(to_string(shared_request->lane));
+    sheds_[static_cast<int>(lane)]->inc();
+    RequestRecord record = start_record(job->request);
     record.ok = false;
     record.shed = true;
     record.error_code = "overloaded";
-    record.unix_ms = unix_millis_now();
-    note_request(record, -1.0);
-    logger_.log(record);
-    flight_.record(record);
-    (*shared_done)(make_wire_error(
-        shared_request->id_json, to_string(shared_request->verb), "overloaded",
-        "lane '" + std::string(to_string(shared_request->lane)) +
-            "' queue is full"));
+    finish(std::move(record));
+    job->done(make_wire_error(
+        job->request.id_json, to_string(job->request.verb), "overloaded",
+        "lane '" + std::string(to_string(lane)) + "' queue is full"));
   }
 }
 

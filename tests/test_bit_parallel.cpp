@@ -208,6 +208,7 @@ TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
     const SlabMaskTable table =
         build_side_array_slab(side, forward, d, &slab_stats);
     EXPECT_EQ(config_form(table), array);
+    EXPECT_EQ(vec_stats.certificate_misses(), 0u);
     EXPECT_EQ(table.num_links, side.view.num_edges());
     // Same sweep underneath: the counters agree exactly.
     EXPECT_TRUE(

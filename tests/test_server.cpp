@@ -627,6 +627,68 @@ TEST(Server, RegistrationAndStatsDoNotWaitForAnotherTenantsBatch) {
   EXPECT_EQ(busy->find("budget")->as_number(), 1.0);
 }
 
+TEST(Server, QueueWaitCountsAgainstTheDeadline) {
+  constexpr double kPinMs = 1000.0;
+  constexpr double kDeadlineMs = 1200.0;
+  ServiceOptions options;
+  options.start_workers = true;
+  options.scheduler.workers = 1;
+  ReliabilityService service(options);
+  ASSERT_TRUE(service.execute(register_request(test_instance(21), "busy")).ok);
+  // 30 links: an exact naive solve enumerates 2^30 configurations, far
+  // beyond the deadline.
+  Xoshiro256 rng(3);
+  const GeneratedNetwork big =
+      random_multigraph(rng, 10, 30, CapacityRange{1, 3}, ProbRange{});
+  ASSERT_TRUE(service.execute(register_request(big)).ok);
+
+  // Pin the only worker: a bulk batch parks in its first progress write.
+  WireRequest batch;
+  batch.verb = WireVerb::kBatch;
+  batch.lane = WireLane::kBulk;
+  batch.tenant = "busy";
+  batch.queries.resize(1);
+  batch.queries[0].method = Method::kBottleneck;
+  ParkingStreamBuf sink;
+  std::ostream progress_out(&sink);
+  RequestHooks hooks;
+  hooks.progress = std::make_shared<ProgressReporter>(&progress_out);
+  std::atomic<bool> batch_ok{false};
+  service.handle_line(serialize_wire_request(batch),
+                      [&](WireResponse resp) { batch_ok = resp.ok; }, hooks);
+  sink.wait_parked();
+
+  WireRequest solve;
+  solve.verb = WireVerb::kSolve;
+  solve.deadline_ms = kDeadlineMs;
+  solve.query.method = Method::kNaive;
+  std::promise<WireResponse> answered;
+  const auto submitted = std::chrono::steady_clock::now();
+  service.handle_line(serialize_wire_request(solve),
+                      [&](WireResponse resp) {
+                        answered.set_value(std::move(resp));
+                      });
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::milli>(kPinMs));
+  sink.release();
+  const WireResponse resp = answered.get_future().get();
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - submitted)
+                               .count();
+  service.drain();
+  EXPECT_TRUE(batch_ok.load());
+
+  // The deadline runs from admission, so the queue wait is part of it:
+  // the solve gets what is left (about kDeadlineMs - kPinMs), not a
+  // fresh kDeadlineMs from pickup.
+  EXPECT_LT(waited_ms, kDeadlineMs + 500.0);
+  ASSERT_TRUE(resp.ok) << resp.error_message;
+  EXPECT_NE(resp.result_json.find("\"status\": \"deadline_expired\""),
+            std::string::npos);
+  EXPECT_NE(resp.result_json.find("\"bounds\""), std::string::npos);
+  EXPECT_EQ(resp.result_json.find("\"shed\""), std::string::npos);
+}
+
 TEST(Server, StatsStaysCoherentUnderConcurrentTenantsAndScrapes) {
   constexpr int kTenants = 4;
   std::vector<GeneratedNetwork> nets;

@@ -189,6 +189,7 @@ void expect_side_matches_oracle(const SideProblem& side,
   EXPECT_EQ(stats.lanes_decided_wordwise() + stats.scalar_residue(),
             decisions)
       << where;
+  EXPECT_EQ(stats.certificate_misses(), 0u) << where;
   ++tally.sides;
   if (want.size() >= 1024) ++tally.sharded;
   if (want.size() < 64) ++tally.partial_slab;
