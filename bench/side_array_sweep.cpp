@@ -1,10 +1,13 @@
 // E26 — side-array construction (the dominant cost of the bottleneck
-// decomposition): the production sweep (build_side_array: bit-parallel
-// slabs plus an incremental residue engine) against the paper's own
-// procedure, one bounded max-flow per (configuration, assignment)
-// through SideMaskEvaluator — the scratch oracle. Reports wall time,
-// max-flow solver calls and the word-wide coverage of the slab kernels;
-// verifies the arrays are bitwise identical and that the decomposition's
+// decomposition): the production sweep (build_side_array: the
+// certificate-closure sweep) against the paper's own procedure, one
+// bounded max-flow per (configuration, assignment) through
+// SideMaskEvaluator — the scratch oracle. Reports wall time, max-flow
+// solver calls, the share of decisions filled in by closures, and the
+// array's boundary (minimal realizing plus maximal failing
+// configurations per assignment) with the sweep's queries per boundary
+// configuration; verifies the arrays are bitwise identical and that the
+// decomposition's
 // reliability equals the one folded from the oracle's arrays, and exits
 // nonzero unless that reliability lies strictly between 0 and 1 (at 0
 // or 1 the cross-check compares constants and tests nothing).
@@ -56,6 +59,30 @@ std::vector<Mask> scratch_oracle(const SideProblem& side,
   for (Mask c = 0; c < array.size(); ++c) array[c] = eval.realized(c);
   maxflow_calls = eval.maxflow_calls();
   return array;
+}
+
+/// Boundary size summed over assignments: configurations realizing
+/// assignment j while no one-link-smaller one does, plus configurations
+/// failing j while every one-link-larger one realizes it.
+std::uint64_t boundary_size(const std::vector<Mask>& array, int links,
+                            int assignments) {
+  const Mask all = full_mask(assignments);
+  std::uint64_t boundary = 0;
+  for (Mask c = 0; c < array.size(); ++c) {
+    Mask below = 0;
+    Mask above = all;
+    for (int e = 0; e < links; ++e) {
+      const Mask n = array[c ^ bit(e)];
+      if (test_bit(c, e)) {
+        below |= n;
+      } else {
+        above &= n;
+      }
+    }
+    boundary += static_cast<std::uint64_t>(
+        popcount(array[c] & ~below) + popcount(all & ~array[c] & above));
+  }
+  return boundary;
 }
 
 }  // namespace
@@ -116,15 +143,24 @@ int main(int argc, char** argv) {
           ? static_cast<double>(stats.lanes_decided_wordwise()) / decided
           : 0.0;
   const double speedup = scratch_ms / sweep_ms;
+  const std::uint64_t boundary =
+      boundary_size(scratch, side.view.num_edges(), forward.size());
+  const double queries_per_boundary =
+      boundary > 0 ? static_cast<double>(stats.scalar_residue()) /
+                         static_cast<double>(boundary)
+                   : 0.0;
 
   TextTable table({"scratch_ms", "sweep_ms", "speedup", "scratch_calls",
-                   "sweep_calls", "coverage", "identical"});
+                   "sweep_calls", "boundary", "calls/boundary", "coverage",
+                   "identical"});
   table.new_row()
       .add_cell(scratch_ms, 2)
       .add_cell(sweep_ms, 2)
       .add_cell(speedup, 2)
       .add_cell(scratch_calls)
       .add_cell(stats.maxflow_calls())
+      .add_cell(boundary)
+      .add_cell(queries_per_boundary, 3)
       .add_cell(coverage, 4)
       .add_cell(identical ? "yes" : "NO");
   table.print(std::cout);
@@ -200,7 +236,9 @@ int main(int argc, char** argv) {
       .metric("per_assignment.call_reduction",
               static_cast<double>(scratch_calls) /
                   static_cast<double>(stats.maxflow_calls()))
-      .metric("per_assignment.identical", identical);
+      .metric("per_assignment.identical", identical)
+      .metric("boundary_size", boundary)
+      .metric("queries_per_boundary", queries_per_boundary);
   const bool json_ok = bench::write_if_requested(report, args);
 
   return json_ok && identical && delta == 0.0 && r_interior && zero_copy ? 0

@@ -1,30 +1,12 @@
 #pragma once
-// Bit-parallel slab layout over side failure configurations.
+// Rank-ordered resting form of a side array.
 //
-// The side-array sweep (§III-C) walks the 2^|E_side| configurations in
-// Gray-code rank order. A SLAB is a block of 64 consecutive ranks, stored
-// TRANSPOSED: one uint64_t per side edge whose bit L answers "is edge e
-// alive in the configuration of rank base + L?". In this layout one word
-// operation touches 64 configurations at once — a certificate check
-// becomes a handful of ANDs and a feasibility class like connectivity is
-// decided by a 64-lane BFS.
-//
-// The fill is O(|E_side|) per slab, not O(64 |E_side|), thanks to a Gray
-// identity: for a 64-aligned base, base + L splits XOR-disjointly into
-// base | L, so
-//
-//   gray_code(base + L) == gray_code(base) ^ gray_code(L).
-//
-// gray_code(L) for L < 64 only occupies bits 0..5, so the lane pattern of
-// edge e — bit L set iff bit e of gray_code(L) — is a CONSTANT word
-// low_pattern(e) (zero for e >= 6), and the slab word of edge e is that
-// pattern XOR-broadcast with bit e of gray_code(base):
-//
-//   word(e) = low_pattern(e) ^ (bit e of gray_code(base) ? ~0 : 0).
-//
-// SlabMaskTable is the matching rank-ordered resting form of a side
-// array: a palette of the distinct realized-assignment masks plus one
-// small palette index per rank, which the fold reads with unit stride.
+// The fold (§III-C) walks a side's 2^|E_side| configurations in
+// Gray-code rank order: rank r stands for configuration gray_code(r), so
+// consecutive ranks differ in one link. SlabMaskTable keeps a side array
+// in that order as a palette of the distinct realized-assignment masks
+// plus one small palette index per rank, which the fold reads with unit
+// stride.
 
 #include <cstdint>
 #include <variant>
@@ -34,33 +16,6 @@
 
 namespace streamrel {
 
-/// Transposed 64-configuration window over up to kMaxMaskBits side edges.
-class BitSlabs {
- public:
-  /// One lane word per edge; all words start at zero (no slab filled).
-  explicit BitSlabs(int num_edges);
-
-  /// Loads the slab of ranks [base_rank, base_rank + 64). Requires
-  /// base_rank % 64 == 0 (throws otherwise). Callers working a partial
-  /// slab (fewer than 64 ranks remain) mask the high lanes off
-  /// themselves — the undecided-lane masks of the sweep already do.
-  void fill(Mask base_rank);
-
-  int num_edges() const noexcept { return static_cast<int>(words_.size()); }
-
-  /// Lane word of edge e: bit L set iff e is alive at rank base + L.
-  std::uint64_t word(int e) const {
-    return words_[static_cast<std::size_t>(e)];
-  }
-
-  /// The constant lane pattern of edge e over gray_code(0..63) — exposed
-  /// so tests can cross-check fill() against the per-lane definition.
-  static std::uint64_t low_pattern(int e) noexcept;
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
 /// A side array at rest, in Gray-code rank order, as a palette-indexed
 /// mask column: `palette` holds the distinct realized-assignment masks in
 /// first-seen rank order, and `index` holds, per rank r, the palette slot
@@ -69,9 +24,8 @@ class BitSlabs {
 /// most 256 masks and widens to two or four bytes only for tables that
 /// need it. Both the palette order and the index width follow from the
 /// masks alone, so equal arrays give equal tables. Rank order is what
-/// every consumer walks (sweeps, folds, slabs), so this is the form
-/// QuerySession caches; at_config() serves point lookups through the
-/// inverse Gray permutation.
+/// the fold walks, so this is the form QuerySession caches; at_config()
+/// serves point lookups through the inverse Gray permutation.
 struct SlabMaskTable {
   using Index = std::variant<std::vector<std::uint8_t>,
                              std::vector<std::uint16_t>,

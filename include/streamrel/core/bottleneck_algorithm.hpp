@@ -45,10 +45,6 @@ struct BottleneckResult {
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
   }
-  /// Single-link incremental repairs.
-  std::uint64_t engine_toggles() const {
-    return telemetry.counter_or(telemetry_keys::kEngineToggles);
-  }
 
   operator ReliabilityResult() const {
     ReliabilityResult r;

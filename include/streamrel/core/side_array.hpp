@@ -15,16 +15,21 @@
 //   demands for negative ones, t -> T1 carries d).
 //
 // build_side_array answers every (configuration, assignment) question of
-// that procedure, but one 64-configuration slab at a time: the Gray walk
-// over the configurations is held transposed (one word per side link),
-// and word-wide kernels decide whole lanes at once. Feasibility is
-// monotone in the alive set, so a flow's support edges certify YES and a
-// saturated cut's dead edges certify NO wherever they stay so; required
-// flow 1 is plain reachability; and an anchor cut too thin for the
-// demand is NO. Only the residue the kernels leave open consults an
-// incremental max-flow engine, whose fresh certificates then re-run
-// word-wide. SideMaskEvaluator below is the paper's scalar procedure,
-// one bounded max-flow per question; the two give identical arrays.
+// that procedure without asking the solver most of them. Feasibility is
+// monotone in the alive set: if a configuration realizes an assignment,
+// so does every superset of its alive links. So each assignment's column
+// is fixed by its boundary (minimal realizing and maximal failing
+// configurations), and each bounded max-flow answer comes with a
+// certificate that decides a whole closure at once: a flow's support
+// realizes the assignment in every configuration that keeps it alive (an
+// up-set), and the dead links of a min cut below the requirement keep it
+// failing in every configuration that keeps them dead (a down-set). The
+// sweep visits configurations by popcount, from all links alive down to
+// none, and queries only those neither closure covers yet. Every strict
+// superset of a queried configuration is then decided already, so a
+// queried NO is a maximal failing configuration. SideMaskEvaluator below
+// is the paper's scalar procedure, one bounded max-flow per question; the
+// two give identical arrays.
 
 #include <cstdint>
 #include <span>
@@ -65,30 +70,27 @@ SideProblem make_side_problem(const FlowNetwork& net, const FlowDemand& demand,
                               bool source_side);
 
 /// Cost counters for one build_side_array run: a thin view over a
-/// Telemetry subtree (shards are merged in shard order, so the counters
-/// are deterministic and independent of the OpenMP thread count).
+/// Telemetry subtree (per-assignment counters are merged in assignment
+/// order, so they are deterministic and independent of the OpenMP thread
+/// count).
 struct SideArrayStats {
   Telemetry telemetry;
 
-  /// Solver invocations (scratch solves plus incremental-repair augments).
+  /// Bounded max-flow solves: one per query of the sweep.
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
   }
-  /// Single-link repairs applied by the residue engines.
-  std::uint64_t engine_toggles() const {
-    return telemetry.counter_or(telemetry_keys::kEngineToggles);
-  }
-  /// Per-lane decisions made by word-wide kernels (certificate AND +
-  /// 64-lane BFS + bit-sliced cut popcount combined).
+  /// (configuration, assignment) decisions filled in from a certificate's
+  /// closure instead of a solve: 2^m * |D| - scalar_residue().
   std::uint64_t lanes_decided_wordwise() const {
     return telemetry.counter_or(telemetry_keys::kLanesWordwise);
   }
-  /// Decisions that still consulted a scalar engine.
+  /// Decisions a solve made (the queries; equal to maxflow_calls()).
   std::uint64_t scalar_residue() const {
     return telemetry.counter_or(telemetry_keys::kScalarResidue);
   }
-  /// Residue certificates that missed their own lane: 0 unless the
-  /// residue engine returned a wrong support or cut.
+  /// Certificates that missed their own configuration: 0 unless the
+  /// solve left a wrong support or cut.
   std::uint64_t certificate_misses() const {
     return telemetry.counter_or(telemetry_keys::kCertificateMisses);
   }
@@ -102,13 +104,13 @@ struct SideArrayStats {
 /// The paper's array: element m is the mask of assignments realized by
 /// side failure configuration m. Size 2^|side edges|.
 ///
-/// Arrays of 1024 or more configurations are cut into Gray-aligned
-/// shards swept under OpenMP. The shard geometry is fixed by the array
-/// size, never by the thread count, so the array and every counter are
-/// identical on 1 thread or 64; ExecContext::max_threads caps the pool.
-/// With a context, the sweep polls for deadline/cancellation every
-/// ExecContext::kPollStride configurations; a stop raises ExecInterrupted
-/// (after any parallel region has joined) — callers above the engine
+/// On arrays of 1024 or more configurations the assignments are swept
+/// in parallel under OpenMP, one task each. A column depends on its
+/// assignment alone, so the array and every counter are identical on 1
+/// thread or 64; ExecContext::max_threads caps the pool. With a context,
+/// the sweep polls for deadline/cancellation between popcount levels and
+/// every ExecContext::kPollStride queries; a stop raises ExecInterrupted
+/// (after the parallel region has joined) — callers above the engine
 /// layer never see it.
 std::vector<Mask> build_side_array(const SideProblem& side,
                                    const AssignmentSet& assignments,

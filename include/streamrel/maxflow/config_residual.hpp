@@ -21,12 +21,6 @@ namespace streamrel {
 
 class ConfigResidual {
  public:
-  struct SuperArc {
-    std::int32_t arc;  ///< forward arc index in the residual graph
-    Capacity cap_uv;   ///< pristine forward capacity (applied by reset)
-    Capacity cap_vu;   ///< pristine reverse capacity
-  };
-
   explicit ConfigResidual(const FlowNetwork& net);
   explicit ConfigResidual(const CompiledNetwork& net);
   /// Side-component form: arcs are laid out over VIEW node ids, and every
@@ -53,6 +47,7 @@ class ConfigResidual {
   void reset_with(const std::vector<bool>& alive);
 
   ResidualGraph& graph() noexcept { return g_; }
+  const ResidualGraph& graph() const noexcept { return g_; }
 
   // --- flat per-edge columns (gathered once at construction) ----------
 
@@ -78,13 +73,6 @@ class ConfigResidual {
     return fwd_[static_cast<std::size_t>(id)];
   }
 
-  std::size_t num_super_arcs() const noexcept { return super_arcs_.size(); }
-
-  /// Pristine record of one super arc (index counts add_super_arc calls).
-  const SuperArc& super_arc(std::size_t index) const {
-    return super_arcs_[index];
-  }
-
   /// Net flow a solver left on network edge `id` since the last reset
   /// (positive: u -> v). Only meaningful while the edge was alive.
   Capacity edge_net_flow(EdgeId id) const {
@@ -93,6 +81,12 @@ class ConfigResidual {
   }
 
  private:
+  struct SuperArc {
+    std::int32_t arc;  ///< forward arc index in the residual graph
+    Capacity cap_uv;   ///< pristine forward capacity (applied by reset)
+    Capacity cap_vu;   ///< pristine reverse capacity
+  };
+
   void add_edge_arc(NodeId u, NodeId v, Capacity cap, bool directed, EdgeId id);
 
   ResidualGraph g_;

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -57,12 +58,18 @@ class ExecContext {
     return ctx;
   }
 
-  /// Sets the deadline `ms` milliseconds from now (clamped at 0).
+  /// Budgets of a year or more mean no deadline: converting them to a
+  /// steady_clock time point would overflow.
+  static constexpr double kNoDeadlineMs = 3.2e10;
+
+  /// Sets the deadline `ms` milliseconds from now (clamped at 0). A
+  /// non-finite `ms`, or one of kNoDeadlineMs or more, clears it instead.
   void set_deadline_ms(double ms) {
+    has_deadline_ = std::isfinite(ms) && ms < kNoDeadlineMs;
+    if (!has_deadline_) return;
     deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                    std::chrono::duration<double, std::milli>(
                                        ms > 0.0 ? ms : 0.0));
-    has_deadline_ = true;
   }
 
   bool has_deadline() const noexcept { return has_deadline_; }

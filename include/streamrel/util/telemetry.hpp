@@ -24,24 +24,19 @@ namespace streamrel {
 namespace telemetry_keys {
 inline constexpr std::string_view kConfigurations = "configurations";
 inline constexpr std::string_view kMaxflowCalls = "maxflow_calls";
-inline constexpr std::string_view kEngineToggles = "engine_toggles";
 inline constexpr std::string_view kStatesVisited = "states_visited";
 inline constexpr std::string_view kSamples = "samples";
 inline constexpr std::string_view kCandidates = "candidates";
 inline constexpr std::string_view kLinksReduced = "links_reduced";
 inline constexpr std::string_view kAssignments = "assignments";
-// Bit-parallel side-array sweep (build_side_array): per-lane
-// feasibility decisions made by word-wide kernels vs the scalar residue
-// that still consulted an incremental engine. The kLanes* breakdown
-// partitions kLanesWordwise by kernel.
+// Certificate-closure side sweep (build_side_array): (configuration,
+// assignment) decisions filled in from a certificate's monotone closure
+// vs the queries that asked a bounded solve (one maxflow_calls each);
+// the two sum to 2^m * |D| per side.
 inline constexpr std::string_view kLanesWordwise = "lanes_decided_wordwise";
-inline constexpr std::string_view kLanesCertificate = "lanes_certificate";
-inline constexpr std::string_view kLanesConnectivity = "lanes_connectivity";
-inline constexpr std::string_view kLanesPopcount = "lanes_popcount";
 inline constexpr std::string_view kScalarResidue = "scalar_residue";
-// Fresh residue certificates that failed to decide their own lane (a
-// solver fault; the lane is decided from the engine instead). Absent
-// when zero.
+// Certificates that failed to cover their own configuration (a solver
+// fault; the verdict decides it instead). Absent when zero.
 inline constexpr std::string_view kCertificateMisses = "certificate_misses";
 // QuerySession / BatchEvaluator serving-layer counters.
 inline constexpr std::string_view kQueries = "queries";

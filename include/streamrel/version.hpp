@@ -40,7 +40,16 @@
 /// steady_clock deadline (kNoDeadline for none) and its Job receives the
 /// measured queue wait; ExecContext::apply_deadline_budgets and the
 /// extra_members parameter of render_solve_result are gone.
-#define STREAMREL_API_VERSION 9
+/// v10: certificate-closure side sweep — the BitSlabs class
+/// (core/bit_slabs.hpp), the lanes_certificate / lanes_connectivity /
+/// lanes_popcount / engine_toggles telemetry keys, both engine_toggles()
+/// accessors, IncrementalMaxFlow's ConfigResidual constructor with
+/// sync_to / set_super_arc / set_target / support_mask / cut_mask /
+/// alive_mask, and
+/// ConfigResidual::SuperArc / super_arc() / num_super_arcs() are gone.
+/// ExecContext::set_deadline_ms treats a non-finite budget, or one of
+/// ExecContext::kNoDeadlineMs or more, as no deadline.
+#define STREAMREL_API_VERSION 10
 
 namespace streamrel {
 

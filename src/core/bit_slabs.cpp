@@ -1,58 +1,11 @@
 #include "streamrel/core/bit_slabs.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
 
 namespace streamrel {
-
-namespace {
-
-// Lane pattern of edge e over the first 64 Gray codes: bit L set iff
-// bit e of gray_code(L). gray_code(L) for L < 64 occupies bits 0..5, so
-// only six patterns are nonzero.
-constexpr std::array<std::uint64_t, 6> kLowPatterns = [] {
-  std::array<std::uint64_t, 6> a{};
-  for (int e = 0; e < 6; ++e) {
-    for (int L = 0; L < 64; ++L) {
-      if (test_bit(gray_code(static_cast<Mask>(L)), e)) {
-        a[static_cast<std::size_t>(e)] |= bit(L);
-      }
-    }
-  }
-  return a;
-}();
-
-}  // namespace
-
-BitSlabs::BitSlabs(int num_edges) {
-  if (num_edges < 0 || num_edges > kMaxMaskBits) {
-    throw std::invalid_argument("BitSlabs: edge count out of mask range");
-  }
-  words_.assign(static_cast<std::size_t>(num_edges), 0);
-}
-
-std::uint64_t BitSlabs::low_pattern(int e) noexcept {
-  return e < 6 ? kLowPatterns[static_cast<std::size_t>(e)] : 0;
-}
-
-void BitSlabs::fill(Mask base_rank) {
-  if ((base_rank & 63) != 0) {
-    throw std::invalid_argument("BitSlabs::fill: base rank must be 64-aligned");
-  }
-  // gray_code(base + L) == gray_code(base) ^ gray_code(L) for an aligned
-  // base (base | L splits XOR-disjointly, even across the bit-5/6 seam),
-  // so each edge's word is its constant low pattern XOR a broadcast of
-  // that edge's bit in gray_code(base).
-  const Mask g = gray_code(base_rank);
-  const int m = num_edges();
-  for (int e = 0; e < m; ++e) {
-    words_[static_cast<std::size_t>(e)] =
-        low_pattern(e) ^ (test_bit(g, e) ? ~std::uint64_t{0} : 0);
-  }
-}
 
 namespace {
 

@@ -4,18 +4,13 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-#include <chrono>
-
 #include "streamrel/maxflow/config_residual.hpp"
-#include "streamrel/maxflow/incremental_dinic.hpp"
-#include "streamrel/util/config_prob.hpp"
+#include "streamrel/maxflow/dinic.hpp"
 #include "streamrel/util/stats.hpp"
 #include "streamrel/util/trace.hpp"
 
@@ -72,51 +67,8 @@ SideProblem make_side_problem(const FlowNetwork& net, const FlowDemand& demand,
 
 namespace {
 
-// Raw shard-local counters for the hot sweep loops (a Telemetry map
-// lookup per configuration would dominate); flushed into the public
-// SideArrayStats telemetry once per shard, in shard order.
-struct SweepCounters {
-  std::uint64_t maxflow_calls = 0;
-  std::uint64_t engine_toggles = 0;
-  // Per-lane decisions by kernel, plus the scalar residue that consulted
-  // an engine.
-  std::uint64_t lanes_certificate = 0;
-  std::uint64_t lanes_connectivity = 0;
-  std::uint64_t lanes_popcount = 0;
-  std::uint64_t scalar_residue = 0;
-  std::uint64_t certificate_misses = 0;
-
-  void merge(const SweepCounters& other) noexcept {
-    maxflow_calls += other.maxflow_calls;
-    engine_toggles += other.engine_toggles;
-    lanes_certificate += other.lanes_certificate;
-    lanes_connectivity += other.lanes_connectivity;
-    lanes_popcount += other.lanes_popcount;
-    scalar_residue += other.scalar_residue;
-    certificate_misses += other.certificate_misses;
-  }
-
-  void flush(Telemetry& telemetry) const {
-    telemetry.counter(telemetry_keys::kMaxflowCalls) += maxflow_calls;
-    telemetry.counter(telemetry_keys::kEngineToggles) += engine_toggles;
-    telemetry.counter(telemetry_keys::kLanesWordwise) +=
-        lanes_certificate + lanes_connectivity + lanes_popcount;
-    telemetry.counter(telemetry_keys::kLanesCertificate) += lanes_certificate;
-    telemetry.counter(telemetry_keys::kLanesConnectivity) +=
-        lanes_connectivity;
-    telemetry.counter(telemetry_keys::kLanesPopcount) += lanes_popcount;
-    telemetry.counter(telemetry_keys::kScalarResidue) += scalar_residue;
-    // Only a faulty certificate creates this series.
-    if (certificate_misses != 0) {
-      telemetry.counter(telemetry_keys::kCertificateMisses) +=
-          certificate_misses;
-    }
-  }
-};
-
-// Cooperative stop poll, called every ExecContext::kPollStride steps of a
-// shard's walk. `aborted` is shared across shards so one observing thread
-// stops them all at their next poll.
+// Cooperative stop poll. `aborted` is shared across the assignments of
+// one sweep so one observing thread stops them all at their next poll.
 bool poll_stop(const ExecContext* ctx, std::atomic<bool>& aborted) {
   if (!ctx) return false;
   if (aborted.load(std::memory_order_relaxed)) return true;
@@ -129,7 +81,7 @@ bool poll_stop(const ExecContext* ctx, std::atomic<bool>& aborted) {
 // edge i an "in" arc S0 -> endpoint (index 1 + 2i) and an "out" arc
 // endpoint -> T1 (index 2 + 2i). All arcs start at capacity 0;
 // apply_assignment_plan sets the pristine capacities, which take effect
-// at the next reset (point evaluator) or engine attach (residue engine).
+// at the next reset.
 struct SuperTerminals {
   NodeId source = kInvalidNode;
   NodeId sink = kInvalidNode;
@@ -154,9 +106,7 @@ SuperTerminals add_side_super_arcs(ConfigResidual& residual,
 
 // Resolved super-arc capacities for one assignment: what each arc of the
 // add_side_super_arcs layout is set to, plus the flow total that signals
-// feasibility. The word-wide kernels read the plan directly (seed /
-// target sets, anchor-cut bypass); the scalar engines apply it to a
-// residual graph.
+// feasibility.
 struct SuperArcPlan {
   Capacity anchor_cap = 0;       ///< super arc 0 (S0 -> anchor or mirror)
   std::vector<Capacity> in_cap;  ///< per endpoint: S0 -> endpoint
@@ -194,385 +144,170 @@ void apply_assignment_plan(ConfigResidual& residual,
   }
 }
 
-// The residue engine: one persistent IncrementalMaxFlow per assignment,
-// created at the first configuration the word-wide kernels leave open
-// and synced along the Gray walk from then on, so a sync repairs the
-// links that toggled instead of re-solving. Each verdict carries a
-// certificate: the support certificate keeps a YES valid at any config
-// that preserves the carrying edges; the cut certificate keeps a NO
-// (the saturated cut's capacity is below the requirement) valid at any
-// config that does not revive a dead crossing edge.
-struct GrayEngine {
-  GrayEngine(const SideProblem& side, const SuperArcPlan& plan, Mask config)
-      : residual(side.view), terminals(add_side_super_arcs(residual, side)) {
-    apply_assignment_plan(residual, plan);
-    flow = std::make_unique<IncrementalMaxFlow>(
-        residual, terminals.source, terminals.sink, plan.required, config);
-    refresh();
-  }
-
-  ConfigResidual residual;
-  SuperTerminals terminals;
-  std::unique_ptr<IncrementalMaxFlow> flow;
-  // Cached verdict for state flow->alive_mask(), with its certificates:
-  bool admits = false; ///< bounded flow value >= the requirement
-  Mask support = 0;    ///< side edges the cached flow routes through
-  Mask cut = 0;        ///< saturated-cut crossing edges (when !admits)
-
-  /// Re-reads the verdict and its certificates after a sync.
-  void refresh() {
-    admits = flow->admits();
-    support = flow->support_mask();
-    cut = admits ? Mask{0} : flow->cut_mask();
-  }
-
-  void collect(SweepCounters& stats) const {
-    stats.maxflow_calls += flow->solver_calls();
-    stats.engine_toggles += flow->toggles();
-  }
-};
-
 // ---------------------------------------------------------------------------
-// Bit-parallel slab sweep.
+// Certificate-closure sweep.
 //
-// The Gray walk is processed in 64-rank slabs held transposed in a
-// BitSlabs window (one word per side edge, bit L = "alive at rank
-// base + L"). Three word-wide kernels decide whole lanes at once, in
-// order of cost:
+// Feasibility of one assignment is monotone in the alive set, so its
+// column of the array is fixed by its boundary (minimal realizing and
+// maximal failing configurations). The sweep keeps two bitsets over the
+// configurations, `yes` and `no`, and asks the solver only about
+// configurations neither holds. Each answer carries a certificate:
 //
-//   1. certificate bank — the last few engine verdicts of this
-//      assignment, replayed word-wide: an admitting flow's support
-//      edges AND together into a YES lane set, a saturated cut's dead
-//      crossing edges AND (complemented) into a NO lane set;
-//   2. 64-lane BFS — when the required flow is 1 and every side cap is
-//      >= 1, feasibility IS reachability, and one bit-parallel BFS over
-//      the side adjacency decides all 64 lanes exactly (both ways);
-//   3. anchor-cut popcount — a bit-sliced saturating tally of the alive
-//      capacity crossing the anchor's cut, compared per lane against
-//      the assignment's requirement: lanes whose cut cannot carry the
-//      demand are NO.
+//   YES — the flow's support S (alive edges carrying net flow) realizes
+//         the assignment wherever S stays alive: OR the up-set of S;
+//   NO  — the dead edges D crossing the residual-reachable cut (a min
+//         cut below the requirement) keep it failing wherever all of D
+//         stays dead: OR the down-set of full & ~D.
 //
-// Only the residue consults a scalar engine (created lazily, synced to
-// the lowest undecided lane); the fresh certificate re-runs word-wide
-// immediately, so one sync typically clears many lanes at once. Every
-// kernel is sound and the engine is exact, so the output array is
-// bitwise identical to the paper's one-solve-per-question procedure
-// (SideMaskEvaluator) — only the path to each decision, and hence
-// maxflow_calls, differs.
+// Queries go by popcount level from m down to 0, so every strict
+// superset of a queried configuration is decided already; a NO answer
+// there means all of them are YES, i.e. every queried NO is a maximal
+// failing configuration.
 
-constexpr std::size_t kCertBankSize = 12;
-
-struct WordCert {
-  Mask mask = 0;  ///< YES: support edges; NO: dead crossing cut edges
-  bool admits = false;
+// Configurations are indexed as word w (the high m - 6 edges) and lane l
+// (the low six edges): c = w * 64 + l.
+struct LaneTables {
+  std::array<std::uint64_t, 64> supersets{};  ///< [x]: lanes l with l ⊇ x
+  std::array<std::uint64_t, 64> subsets{};    ///< [x]: lanes l with l ⊆ x
+  std::array<std::uint64_t, 7> by_popcount{}; ///< [k]: lanes of popcount k
 };
 
-/// Fixed-capacity most-recent-first certificate ring.
-struct CertBank {
-  std::array<WordCert, kCertBankSize> certs;
-  std::size_t head = 0;  ///< slot of the most recent certificate
-  std::size_t count = 0;
-
-  void push(const WordCert& cert) {
-    head = (head + kCertBankSize - 1) % kCertBankSize;
-    certs[head] = cert;
-    if (count < kCertBankSize) ++count;
-  }
-  const WordCert& at(std::size_t i) const {  // i == 0: most recent
-    return certs[(head + i) % kCertBankSize];
-  }
-};
-
-/// Word-wide replay of one certificate over the slab: returns the lanes
-/// (drawn from `candidates`) the certificate decides; the decided value
-/// is cert.admits. A YES lane keeps every support edge alive; a NO lane
-/// revives no dead crossing edge of the saturated cut.
-std::uint64_t cert_decided_lanes(const WordCert& cert, const BitSlabs& slabs,
-                                 std::uint64_t candidates) {
-  std::uint64_t w = candidates;
-  if (cert.admits) {
-    for (Mask rest = cert.mask; rest != 0 && w != 0; rest &= rest - 1) {
-      w &= slabs.word(lowest_bit(rest));
+constexpr LaneTables kLanes = [] {
+  LaneTables t;
+  for (unsigned x = 0; x < 64; ++x) {
+    for (unsigned l = 0; l < 64; ++l) {
+      if ((l & x) == x) t.supersets[x] |= bit(static_cast<int>(l));
+      if ((l & ~x) == 0) t.subsets[x] |= bit(static_cast<int>(l));
     }
-  } else {
-    for (Mask rest = cert.mask; rest != 0 && w != 0; rest &= rest - 1) {
-      w &= ~slabs.word(lowest_bit(rest));
-    }
+    t.by_popcount[static_cast<std::size_t>(std::popcount(x))] |=
+        bit(static_cast<int>(x));
   }
-  return w;
+  return t;
+}();
+
+/// Side edges carrying net flow after a solve at `alive`: the YES
+/// certificate.
+Mask flow_support(const ConfigResidual& residual, Mask alive) {
+  Mask support = 0;
+  for (Mask rest = alive; rest != 0; rest &= rest - 1) {
+    const int e = lowest_bit(rest);
+    if (residual.edge_net_flow(e) != 0) support |= bit(e);
+  }
+  return support;
 }
 
-/// Saturating bit-sliced tally over 64 lanes: add() accumulates a small
-/// weight into every lane of a word; less_than() then compares all 64
-/// sums against the threshold at once. Weights are pre-clamped to the
-/// threshold, so bit_width(threshold) value slices plus one overflow
-/// word suffice.
-class LaneTally {
- public:
-  explicit LaneTally(Capacity threshold)
-      : bits_(static_cast<int>(
-            std::bit_width(static_cast<std::uint64_t>(threshold)))) {}
-
-  void add(std::uint64_t lanes, Capacity weight) {
-    const auto w = static_cast<std::uint64_t>(weight);
-    for (int b = 0; (w >> b) != 0; ++b) {
-      if (((w >> b) & 1) == 0) continue;
-      std::uint64_t carry = lanes;
-      for (int i = b; i < bits_ && carry != 0; ++i) {
-        const std::uint64_t overlap = s_[static_cast<std::size_t>(i)] & carry;
-        s_[static_cast<std::size_t>(i)] ^= carry;
-        carry = overlap;
-      }
-      overflow_ |= carry;
-    }
+/// Dead side edges crossing the cut between the nodes residual-reachable
+/// from `source` and the rest, after a solve at `alive` that fell short:
+/// the NO certificate. Only orientations with pristine capacity count:
+/// both for undirected links, u -> v for directed ones.
+Mask dead_cut_edges(const ConfigResidual& residual, NodeId source,
+                    Mask alive) {
+  const std::vector<bool> reach = residual.graph().residual_reachable(source);
+  Mask cut = 0;
+  for (EdgeId e = 0; e < residual.num_edges(); ++e) {
+    if (test_bit(alive, e)) continue;
+    const bool ru = reach[static_cast<std::size_t>(residual.edge_u(e))];
+    const bool rv = reach[static_cast<std::size_t>(residual.edge_v(e))];
+    if (residual.edge_directed(e) ? (ru && !rv) : (ru != rv)) cut |= bit(e);
   }
-
-  /// Lanes whose tally is strictly below `threshold`.
-  std::uint64_t less_than(Capacity threshold) const {
-    std::uint64_t lt = 0;
-    std::uint64_t ge = overflow_;
-    for (int i = bits_ - 1; i >= 0; --i) {
-      const std::uint64_t open = ~(lt | ge);
-      if (test_bit(static_cast<Mask>(threshold), i)) {
-        lt |= open & ~s_[static_cast<std::size_t>(i)];
-      } else {
-        ge |= open & s_[static_cast<std::size_t>(i)];
-      }
-    }
-    return lt;
-  }
-
- private:
-  std::array<std::uint64_t, 6> s_{};
-  std::uint64_t overflow_ = 0;
-  int bits_;
-};
-
-/// 64-lane reachability from the seed nodes over the slab's alive edges;
-/// returns the lanes in which any target node is reached. Propagates to
-/// a fixpoint (each pass is O(|E_side|) word ops; the pass count is
-/// bounded by the side's diameter).
-std::uint64_t connected_lanes(const BitSlabs& slabs,
-                              const std::vector<NodeId>& eu,
-                              const std::vector<NodeId>& ev,
-                              const std::vector<std::uint8_t>& undirected,
-                              const std::vector<NodeId>& seeds,
-                              const std::vector<NodeId>& targets,
-                              std::vector<std::uint64_t>& reach) {
-  std::fill(reach.begin(), reach.end(), 0);
-  for (NodeId s : seeds) {
-    reach[static_cast<std::size_t>(s)] = ~std::uint64_t{0};
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t e = 0; e < eu.size(); ++e) {
-      const std::uint64_t w = slabs.word(static_cast<int>(e));
-      if (w == 0) continue;
-      const auto u = static_cast<std::size_t>(eu[e]);
-      const auto v = static_cast<std::size_t>(ev[e]);
-      const std::uint64_t fwd = reach[u] & w & ~reach[v];
-      if (fwd != 0) {
-        reach[v] |= fwd;
-        changed = true;
-      }
-      if (undirected[e] != 0) {
-        const std::uint64_t bwd = reach[v] & w & ~reach[u];
-        if (bwd != 0) {
-          reach[u] |= bwd;
-          changed = true;
-        }
-      }
-    }
-  }
-  std::uint64_t out = 0;
-  for (NodeId t : targets) {
-    out |= reach[static_cast<std::size_t>(t)];
-  }
-  return out;
+  return cut;
 }
 
-/// Per-assignment sweep state: the resolved super-arc plan, kernel
-/// eligibility data, the certificate ring, and the lazily created
-/// residue engine.
-struct SlabAssignment {
-  SuperArcPlan plan;
-  bool connectivity = false;   ///< required == 1 and all side caps >= 1
-  Capacity cut_threshold = 0;  ///< required - endpoint bypass capacity
-  std::vector<NodeId> seeds;   ///< BFS sources (positive supply arcs)
-  std::vector<NodeId> targets; ///< BFS sinks (positive demand arcs)
-  CertBank bank;
-  std::unique_ptr<GrayEngine> engine;
+struct ClosureCounters {
+  std::uint64_t queries = 0;             ///< bounded max-flow solves
+  std::uint64_t certificate_misses = 0;  ///< certificates missing their c
 };
 
-// Sweeps Gray ranks [first, last] into `array` (indexed by config).
-void sweep_side(const SideProblem& side, const AssignmentSet& assignments,
-                Capacity d, Mask first, Mask last, std::vector<Mask>& array,
-                SweepCounters& stats, const ExecContext* ctx,
-                std::atomic<bool>& aborted) {
+/// One assignment's column as a configuration bitset, plus what it cost.
+/// `done` is false when the sweep was stopped part way.
+struct ClosureColumn {
+  std::vector<std::uint64_t> yes;
+  ClosureCounters counters;
+  bool done = false;
+};
+
+/// Sweeps one assignment's column; `progress_share` is its part of the
+/// side's progress total.
+ClosureColumn close_assignment(const SideProblem& side,
+                               const SuperArcPlan& plan,
+                               ConfigResidual& residual,
+                               const SuperTerminals& terminals,
+                               DinicSolver& solver,
+                               std::uint64_t progress_share,
+                               const ExecContext* ctx,
+                               std::atomic<bool>& aborted) {
   const int m = side.view.num_edges();
+  const Mask full = full_mask(m);
+  const std::size_t words = m > 6 ? std::size_t{1} << (m - 6) : 1;
+  const std::uint64_t valid =
+      m >= 6 ? ~std::uint64_t{0} : (std::uint64_t{1} << (1 << m)) - 1;
+  ClosureColumn column;
+  column.yes.assign(words, 0);
+  std::vector<std::uint64_t> no(words, 0);
+  std::vector<std::uint64_t>& yes = column.yes;
+  ClosureCounters& counters = column.counters;
 
-  // Flat side adjacency (view translation hoisted out of the BFS).
-  std::vector<NodeId> eu(static_cast<std::size_t>(m));
-  std::vector<NodeId> ev(static_cast<std::size_t>(m));
-  std::vector<std::uint8_t> undirected(static_cast<std::size_t>(m));
-  bool unit_or_more = true;
-  for (int e = 0; e < m; ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    eu[i] = side.view.edge_u(e);
-    ev[i] = side.view.edge_v(e);
-    undirected[i] = side.view.edge_directed(e) ? 0 : 1;
-    unit_or_more = unit_or_more && side.view.edge_capacity(e) >= 1;
-  }
-
-  // Side edges able to carry flow out of {S0, anchor} (source side),
-  // resp. into {anchor, T1} (sink side) — the configuration-dependent
-  // part of the anchor cut the popcount kernel bounds.
-  std::vector<std::pair<int, Capacity>> anchor_edges;
-  for (int e = 0; e < m; ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    if (eu[i] != side.anchor && ev[i] != side.anchor) continue;
-    if (eu[i] == ev[i]) continue;  // self loop never crosses the cut
-    const bool crosses =
-        undirected[i] != 0 || (side.is_source_side ? eu[i] == side.anchor
-                                                   : ev[i] == side.anchor);
-    if (crosses) anchor_edges.emplace_back(e, side.view.edge_capacity(e));
-  }
-
-  std::vector<SlabAssignment> state(
-      static_cast<std::size_t>(assignments.size()));
-  for (int j = 0; j < assignments.size(); ++j) {
-    SlabAssignment& a = state[static_cast<std::size_t>(j)];
-    a.plan = plan_assignment_arcs(
-        side, assignments.assignments[static_cast<std::size_t>(j)], d);
-    a.connectivity = a.plan.required == 1 && unit_or_more;
-    // Endpoint super arcs crossing the anchor cut regardless of the side
-    // configuration: an endpoint AT the anchor crosses on its
-    // demand-facing arc, every other endpoint on its supply-facing one.
-    Capacity bypass = 0;
-    for (std::size_t i = 0; i < side.endpoints.size(); ++i) {
-      const bool at_anchor = side.endpoints[i] == side.anchor;
-      if (side.is_source_side) {
-        bypass += at_anchor ? a.plan.out_cap[i] : a.plan.in_cap[i];
-      } else {
-        bypass += at_anchor ? a.plan.in_cap[i] : a.plan.out_cap[i];
-      }
-      if (a.plan.in_cap[i] > 0) a.seeds.push_back(side.endpoints[i]);
-      if (a.plan.out_cap[i] > 0) a.targets.push_back(side.endpoints[i]);
-    }
-    // The anchor arc's capacity (d >= 1) makes the anchor a
-    // configuration-independent seed (source side) / target (sink side).
-    if (side.is_source_side) {
-      a.seeds.push_back(side.anchor);
+  apply_assignment_plan(residual, plan);
+  const auto query = [&](Mask c) {
+    residual.reset(c);
+    ++counters.queries;
+    const bool admits = solver.solve(residual.graph(), terminals.source,
+                                     terminals.sink,
+                                     plan.required) >= plan.required;
+    std::vector<std::uint64_t>& decided = admits ? yes : no;
+    if (admits) {
+      const Mask support = flow_support(residual, c);
+      const std::uint64_t lanes = kLanes.supersets[support & 63] & valid;
+      const Mask high = support >> 6;
+      for (Mask w = high; w < words; w = (w + 1) | high) yes[w] |= lanes;
     } else {
-      a.targets.push_back(side.anchor);
+      const Mask keep = full & ~dead_cut_edges(residual, terminals.source, c);
+      const std::uint64_t lanes = kLanes.subsets[keep & 63];
+      const Mask high = keep >> 6;
+      for (Mask w = high;; w = (w - 1) & high) {
+        no[w] |= lanes;
+        if (w == 0) break;
+      }
     }
-    a.cut_threshold = a.plan.required - bypass;
-  }
+    // Both certificates cover their own configuration. Should a faulty
+    // one miss it, the verdict decides c anyway, so every query makes
+    // progress.
+    std::uint64_t& word = decided[c >> 6];
+    if (!test_bit(word, static_cast<int>(c & 63))) {
+      word |= bit(static_cast<int>(c & 63));
+      ++counters.certificate_misses;
+    }
+  };
 
-  BitSlabs slabs(m);
-  std::vector<std::uint64_t> reach(
-      static_cast<std::size_t>(side.view.num_nodes()), 0);
-  std::array<Mask, 64> realized{};
   ProgressMarker progress(exec_progress(ctx));
-  std::uint64_t sync_ops = 0;
-  bool stopped = false;
-  for (Mask base = first; base <= last; base += 64) {
-    if (((base - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) {
-        stopped = true;
-        break;  // still collect engine counters below
-      }
-      progress.at(base - first);
-    }
-    const int lanes = static_cast<int>(std::min<Mask>(64, last - base + 1));
-    const std::uint64_t valid = lanes == 64
-                                    ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << lanes) - 1;
-    slabs.fill(base);
-    realized.fill(0);
-    for (int j = 0; j < assignments.size(); ++j) {
-      SlabAssignment& a = state[static_cast<std::size_t>(j)];
-      std::uint64_t undecided = valid;
-      std::uint64_t yes = 0;
-
-      if (a.connectivity) {
-        // Feasibility == reachability: the BFS decides every lane of
-        // the slab exactly, both YES and NO — no engine is ever needed.
-        yes = connected_lanes(slabs, eu, ev, undirected, a.seeds, a.targets,
-                              reach) &
-              undecided;
-        stats.lanes_connectivity +=
-            static_cast<std::uint64_t>(popcount(undecided));
-        undecided = 0;
-      } else {
-        for (std::size_t c = 0; c < a.bank.count && undecided != 0; ++c) {
-          const WordCert& cert = a.bank.at(c);
-          const std::uint64_t w = cert_decided_lanes(cert, slabs, undecided);
-          if (cert.admits) yes |= w;
-          undecided &= ~w;
-          stats.lanes_certificate += static_cast<std::uint64_t>(popcount(w));
+  const double total = std::ldexp(1.0, m);
+  double level_size = 1.0;  // C(m, k)
+  double swept = 0.0;       // configurations of popcount >= k
+  for (int k = m; k >= 0; --k) {
+    if (poll_stop(ctx, aborted)) return column;
+    for (std::size_t w = 0; w < words; ++w) {
+      const int low = k - std::popcount(w);
+      if (low < 0 || low > 6) continue;
+      std::uint64_t open = kLanes.by_popcount[static_cast<std::size_t>(low)] &
+                           valid & ~(yes[w] | no[w]);
+      while (open != 0) {
+        query((static_cast<Mask>(w) << 6) |
+              static_cast<Mask>(lowest_bit(open)));
+        if ((counters.queries & (ExecContext::kPollStride - 1)) == 0 &&
+            poll_stop(ctx, aborted)) {
+          return column;
         }
-        if (undecided != 0 && a.cut_threshold >= 1) {
-          LaneTally tally(a.cut_threshold);
-          for (const auto& [e, cap] : anchor_edges) {
-            tally.add(slabs.word(e), std::min(cap, a.cut_threshold));
-          }
-          const std::uint64_t no_w =
-              tally.less_than(a.cut_threshold) & undecided;
-          undecided &= ~no_w;
-          stats.lanes_popcount += static_cast<std::uint64_t>(popcount(no_w));
-        }
-        while (undecided != 0) {
-          const int L = lowest_bit(undecided);
-          const Mask config = gray_code(base + static_cast<Mask>(L));
-          if (!a.engine) {
-            // First residue lane of this assignment: build the engine
-            // directly at `config` (the construction solve is the sync).
-            a.engine = std::make_unique<GrayEngine>(side, a.plan, config);
-          } else {
-            ++sync_ops;
-            STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync",
-                                         "maxflow");
-            a.engine->flow->sync_to(config);
-            a.engine->refresh();
-          }
-          WordCert cert;
-          cert.admits = a.engine->admits;
-          cert.mask =
-              cert.admits ? a.engine->support : (a.engine->cut & ~config);
-          a.bank.push(cert);
-          // The fresh certificate always covers its own lane (support
-          // is alive at `config`; no cut edge dead at `config` is alive
-          // there). Should a faulty one miss it, the engine's verdict
-          // decides the lane anyway, so the loop strictly shrinks
-          // `undecided`.
-          std::uint64_t w = cert_decided_lanes(cert, slabs, undecided);
-          if ((w & bit(L)) == 0) {
-            w |= bit(L);
-            ++stats.certificate_misses;
-          }
-          if (cert.admits) yes |= w;
-          undecided &= ~w;
-          ++stats.scalar_residue;
-          stats.lanes_certificate +=
-              static_cast<std::uint64_t>(popcount(w)) - 1;
-        }
-      }
-      for (std::uint64_t rest = yes; rest != 0; rest &= rest - 1) {
-        realized[static_cast<std::size_t>(lowest_bit(rest))] |= bit(j);
+        open &= ~(yes[w] | no[w]);
       }
     }
-    for (int L = 0; L < lanes; ++L) {
-      array[static_cast<std::size_t>(
-          gray_code(base + static_cast<Mask>(L)))] =
-          realized[static_cast<std::size_t>(L)];
-    }
+    swept += level_size;
+    level_size = level_size * k / (m - k + 1);
+    progress.at(static_cast<std::uint64_t>(
+        static_cast<double>(progress_share) * swept / total));
   }
-  if (!stopped) progress.at(last - first + 1);
-  for (const SlabAssignment& a : state) {
-    if (a.engine) a.engine->collect(stats);
-  }
+  progress.at(progress_share);
+  column.done = true;
+  return column;
 }
 
 }  // namespace
@@ -587,6 +322,7 @@ std::vector<Mask> build_side_array(const SideProblem& side,
   }
   const int m = side.view.num_edges();
   const Mask total = Mask{1} << m;
+  const int n = assignments.size();
 
   TraceSpan sweep_span("build_side_array", "sweep");
   sweep_span.arg("side", side.is_source_side ? "s" : "t")
@@ -599,66 +335,85 @@ std::vector<Mask> build_side_array(const SideProblem& side,
 
   std::vector<Mask> array(static_cast<std::size_t>(total), 0);
   std::atomic<bool> aborted{false};
+  std::vector<ClosureCounters> counters(static_cast<std::size_t>(n));
+  std::vector<double> assignment_ms(static_cast<std::size_t>(n), 0.0);
+  const auto t0 = std::chrono::steady_clock::now();
 
-  // Contiguous, Gray-aligned shards: each shard owns one rank range, so
-  // its Gray walk is a single contiguous path. The shard geometry is
-  // FIXED by the instance size (never by the thread count), so the
-  // per-shard counters — and their shard-order merge below — are
-  // identical whether the sweep runs on 1 thread or 64.
-  const Mask shard_count =
-      total < 1024 ? Mask{1} : std::min<Mask>(Mask{32}, total >> 10);
-  const Mask chunk = total / shard_count;
-  std::vector<SweepCounters> shard_stats(static_cast<std::size_t>(shard_count));
-  std::vector<double> shard_ms(static_cast<std::size_t>(shard_count), 0.0);
-  const auto run_shard = [&](Mask i) {
-    const Mask first = i * chunk;
-    const Mask last = i + 1 == shard_count ? total - 1 : first + chunk - 1;
-    TraceSpan shard_span;  // one span per shard of a sharded sweep
-    if (shard_count > 1 && trace_enabled()) {
-      shard_span.begin("side_sweep_shard", "sweep");
-    }
-    shard_span.arg("shard", static_cast<std::int64_t>(i))
-        .arg("ranks", static_cast<std::uint64_t>(last - first + 1));
-    const auto t0 = std::chrono::steady_clock::now();
-    sweep_side(side, assignments, demand_rate, first, last, array,
-               shard_stats[static_cast<std::size_t>(i)], ctx, aborted);
-    shard_ms[static_cast<std::size_t>(i)] =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-  };
-  if (shard_count == 1) {
-    run_shard(0);
-  } else {
+  // One assignment per task. Each column is a pure function of its
+  // assignment, so the array and the counters (merged in assignment
+  // order below) do not depend on the thread count. Sides under 1024
+  // configurations stay on the calling thread.
+  const int threads =
+      total < 1024 ? 1 : std::max(1, std::min(exec_resolved_threads(ctx), n));
 #ifdef _OPENMP
-    const int threads = static_cast<int>(std::min<Mask>(
-        static_cast<Mask>(exec_resolved_threads(ctx)), shard_count));
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+#pragma omp parallel num_threads(threads) if (threads > 1)
 #endif
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(shard_count);
-         ++i) {
-      run_shard(static_cast<Mask>(i));
+  {
+    ConfigResidual residual(side.view);
+    const SuperTerminals terminals = add_side_super_arcs(residual, side);
+    DinicSolver solver;
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic)
+#endif
+    for (int j = 0; j < n; ++j) {
+      if (aborted.load(std::memory_order_relaxed)) continue;
+      const auto j0 = std::chrono::steady_clock::now();
+      const auto ju = static_cast<std::size_t>(j);
+      const std::uint64_t share = static_cast<std::uint64_t>(
+          total / static_cast<Mask>(n) +
+          (static_cast<Mask>(j) < total % static_cast<Mask>(n) ? 1 : 0));
+      const ClosureColumn column = close_assignment(
+          side, plan_assignment_arcs(side, assignments.assignments[ju],
+                                     demand_rate),
+          residual, terminals, solver, share, ctx, aborted);
+      counters[ju] = column.counters;
+      if (column.done) {
+#ifdef _OPENMP
+#pragma omp critical(side_array_fill)
+#endif
+        for (std::size_t w = 0; w < column.yes.size(); ++w) {
+          for (std::uint64_t rest = column.yes[w]; rest != 0;
+               rest &= rest - 1) {
+            array[(w << 6) | static_cast<std::size_t>(lowest_bit(rest))] |=
+                bit(j);
+          }
+        }
+      }
+      assignment_ms[ju] = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - j0)
+                              .count();
     }
   }
   if (aborted.load(std::memory_order_relaxed)) {
     throw ExecInterrupted{ctx->stop_status()};
   }
   if (stats) {
-    SweepCounters local;
-    for (const SweepCounters& s : shard_stats) local.merge(s);
-    local.flush(stats->telemetry);
-    // Shards run concurrently, so wall clock is the slowest shard (the
-    // max), never the sum — the sum is the CPU view and gets its own
-    // key. See Telemetry::merge_parallel for the same rule applied to
-    // whole trees.
-    double wall = 0.0;
-    double cpu = 0.0;
-    for (double t : shard_ms) {
-      wall = std::max(wall, t);
-      cpu += t;
+    ClosureCounters sum;
+    for (const ClosureCounters& c : counters) {
+      sum.queries += c.queries;
+      sum.certificate_misses += c.certificate_misses;
     }
-    stats->telemetry.timer_ms("sweep") += wall;
-    stats->telemetry.timer_ms("sweep_cpu") += cpu;
+    Telemetry& telemetry = stats->telemetry;
+    // Every query is one bounded solve, the scalar residue of the sweep;
+    // every other (configuration, assignment) bit came from a closure.
+    telemetry.counter(telemetry_keys::kMaxflowCalls) += sum.queries;
+    telemetry.counter(telemetry_keys::kScalarResidue) += sum.queries;
+    telemetry.counter(telemetry_keys::kLanesWordwise) +=
+        static_cast<std::uint64_t>(total) * static_cast<std::uint64_t>(n) -
+        sum.queries;
+    // Only a faulty certificate creates this series.
+    if (sum.certificate_misses != 0) {
+      telemetry.counter(telemetry_keys::kCertificateMisses) +=
+          sum.certificate_misses;
+    }
+    // Wall clock of the whole sweep; the per-assignment sum is the CPU
+    // view (see Telemetry::merge_parallel for the same rule).
+    double cpu = 0.0;
+    for (double t : assignment_ms) cpu += t;
+    telemetry.timer_ms("sweep") += std::chrono::duration<double, std::milli>(
+                                       std::chrono::steady_clock::now() - t0)
+                                       .count();
+    telemetry.timer_ms("sweep_cpu") += cpu;
   }
   return array;
 }

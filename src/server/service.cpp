@@ -147,7 +147,9 @@ Clock::time_point ReliabilityService::deadline_from(
   if (lane_ms > 0.0 && (ms <= 0.0 || lane_ms < ms)) ms = lane_ms;
   // deadline_ms comes off the wire unbounded: a budget of a year or more
   // is treated as none rather than overflowing the time point.
-  if (!(ms > 0.0) || ms >= 3.2e10) return RequestScheduler::kNoDeadline;
+  if (!(ms > 0.0) || ms >= ExecContext::kNoDeadlineMs) {
+    return RequestScheduler::kNoDeadline;
+  }
   return admitted + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double, std::milli>(ms));
 }

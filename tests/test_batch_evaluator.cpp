@@ -102,6 +102,29 @@ TEST(BatchEvaluator, ExpiredBatchDeadlineDegradesWithoutThrowing) {
   EXPECT_EQ(batch.exact_count, 0);
 }
 
+// A per-query budget of a year or more is no deadline. It used to
+// overflow the deadline's time point into the past, so the query came
+// back deadline_expired at once.
+TEST(BatchEvaluator, HugePerQueryDeadlineStillSolvesExactly) {
+  const GeneratedNetwork g = test_instance();
+  std::vector<WhatIfQuery> queries(2);
+  for (WhatIfQuery& q : queries) {
+    q.demand = {g.source, g.sink, 2};
+    q.method = Method::kNaive;
+  }
+  queries[0].deadline_ms = 1e13;
+  queries[1].deadline_ms = 1e300;
+
+  QuerySession session(g.net);
+  const BatchReport batch = BatchEvaluator(session).evaluate(queries);
+  ASSERT_EQ(batch.reports.size(), queries.size());
+  for (const SolveReport& report : batch.reports) {
+    EXPECT_EQ(report.result.status, SolveStatus::kExact);
+    EXPECT_GT(report.result.reliability, 0.0);
+  }
+  EXPECT_EQ(batch.exact_count, 2);
+}
+
 TEST(BatchEvaluator, MixedMethodsFallBackPerQuery) {
   const GeneratedNetwork g = test_instance();
   std::vector<WhatIfQuery> queries(2);

@@ -1,7 +1,7 @@
-// The BitSlabs primitives under the side-array sweep: the Gray-slab
-// fill identity, gray_rank, slab/config form roundtrips, the slab
-// builder against the vector builder, and the fold pinned bitwise to its
-// definition across index widths and probability extremes. The sweep's
+// The rank-ordered resting form of a side array: gray_rank, slab/config
+// form roundtrips, the slab builder against the vector builder, and the
+// fold pinned bitwise to its definition across index widths and
+// probability extremes. The sweep's
 // arrays are checked against the paper's procedure in test_side_array.
 
 #include "streamrel/core/bit_slabs.hpp"
@@ -30,40 +30,6 @@ TEST(GrayRank, InvertsGrayCodeAcrossTheMaskRange) {
                        (Mask{1} << 62) + 987654321, ~Mask{0} >> 1}) {
     EXPECT_EQ(gray_rank(gray_code(i)), i);
   }
-}
-
-TEST(BitSlabs, FillMatchesThePerLaneDefinition) {
-  const int edges = 10;
-  BitSlabs slabs(edges);
-  for (const Mask base : {Mask{0}, Mask{64}, Mask{128}, Mask{1} << 9,
-                          (Mask{1} << 9) - 64}) {
-    slabs.fill(base);
-    for (int e = 0; e < edges; ++e) {
-      for (int lane = 0; lane < 64; ++lane) {
-        const Mask config = gray_code(base + static_cast<Mask>(lane));
-        EXPECT_EQ(test_bit(slabs.word(e), lane), test_bit(config, e))
-            << "base " << base << " edge " << e << " lane " << lane;
-      }
-    }
-  }
-}
-
-TEST(BitSlabs, LowPatternIsTheBaseZeroSlab) {
-  BitSlabs slabs(kMaxMaskBits);
-  slabs.fill(0);
-  for (int e = 0; e < kMaxMaskBits; ++e) {
-    EXPECT_EQ(slabs.word(e), BitSlabs::low_pattern(e));
-  }
-  EXPECT_EQ(BitSlabs::low_pattern(6), 0u);  // gray codes < 64 use bits 0..5
-}
-
-TEST(BitSlabs, RejectsUnalignedBaseAndBadEdgeCounts) {
-  EXPECT_THROW(BitSlabs(-1), std::invalid_argument);
-  EXPECT_THROW(BitSlabs(kMaxMaskBits + 1), std::invalid_argument);
-  BitSlabs slabs(4);
-  EXPECT_THROW(slabs.fill(1), std::invalid_argument);
-  EXPECT_THROW(slabs.fill(63), std::invalid_argument);
-  EXPECT_NO_THROW(slabs.fill(0));
 }
 
 TEST(SlabMaskTable, RoundTripsWithTheConfigIndexedForm) {

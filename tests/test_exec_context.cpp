@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "streamrel/core/reliability_facade.hpp"
@@ -101,6 +102,30 @@ TEST(ExecContext, ZeroDeadlineStopsImmediately) {
   } catch (const ExecInterrupted& stop) {
     EXPECT_EQ(stop.status, SolveStatus::kDeadlineExpired);
   }
+}
+
+// A budget of a year or more, or a non-finite one, is no deadline: the
+// time point it would give overflows steady_clock into the past.
+TEST(ExecContext, HugeOrNonFiniteDeadlineMeansNoDeadline) {
+  for (const double ms : {1e13, 1e300, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          ExecContext::kNoDeadlineMs}) {
+    const ExecContext ctx = ExecContext::with_deadline_ms(ms);
+    EXPECT_FALSE(ctx.has_deadline()) << ms;
+    EXPECT_FALSE(ctx.should_stop()) << ms;
+    EXPECT_EQ(ctx.stop_status(), SolveStatus::kExact) << ms;
+    EXPECT_GT(ctx.remaining_ms(), 1e12) << ms;
+  }
+  // Just under a year is still a deadline, far away.
+  const ExecContext year = ExecContext::with_deadline_ms(3.1e10);
+  EXPECT_TRUE(year.has_deadline());
+  EXPECT_FALSE(year.should_stop());
+  EXPECT_GT(year.remaining_ms(), 3.0e10);
+  // Setting a huge budget clears an earlier deadline.
+  ExecContext ctx = ExecContext::with_deadline_ms(0.0);
+  ctx.set_deadline_ms(1e13);
+  EXPECT_FALSE(ctx.has_deadline());
+  EXPECT_FALSE(ctx.should_stop());
 }
 
 TEST(ExecContext, CancellationIsSharedAcrossCopiesAndBeatsTheDeadline) {

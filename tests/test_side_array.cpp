@@ -8,8 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <optional>
+#include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 
 #include "streamrel/cuts/partition_search.hpp"
 #include "streamrel/graph/generators.hpp"
@@ -457,6 +463,174 @@ TEST(SideArrayOracle, OneThreadMatchesDefaultThreads) {
     }
   }
   EXPECT_GE(sharded, 16);
+}
+
+// --- Boundary gate ------------------------------------------------------
+//
+// Every query of the closure sweep is one bounded solve, and every
+// queried NO is a maximal failing configuration, so the solves stay
+// close to the array's boundary (minimal realizing plus maximal failing
+// configurations per assignment). The gate allows twice the boundary.
+
+void expect_queries_within_twice_the_boundary(const SideProblem& side,
+                                              const AssignmentSet& set,
+                                              Capacity d,
+                                              const std::string& where) {
+  const std::vector<Mask> want = testing::oracle_side_array(side, set, d);
+  SideArrayStats stats;
+  ASSERT_EQ(build_side_array(side, set, d, &stats), want) << where;
+  const std::uint64_t boundary = testing::side_array_boundary(
+      want, side.view.num_edges(), set.size());
+  EXPECT_LE(stats.scalar_residue(), 2 * boundary) << where;
+  EXPECT_EQ(stats.maxflow_calls(), stats.scalar_residue()) << where;
+}
+
+TEST(SideArrayBoundary, ClusteredFamilyQueriesWithinTwiceTheBoundary) {
+  Xoshiro256 rng(20260807);
+  int sides = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ClusteredParams params;
+    params.nodes_s = 3 + static_cast<int>(rng.uniform_below(4));
+    params.nodes_t = 3 + static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_s = static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_t = static_cast<int>(rng.uniform_below(4));
+    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
+    params.bottleneck_caps = {1, 3};
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const Capacity d = rng.uniform_int(1, 4);
+    for (const AssignmentMode mode :
+         {AssignmentMode::kForwardOnly, AssignmentMode::kSigned}) {
+      const std::optional<AssignmentSet> set =
+          try_assignments(g.net, partition, d, mode);
+      if (!set) continue;
+      for (const bool source_side : {true, false}) {
+        expect_queries_within_twice_the_boundary(
+            make_side_problem(g.net, {g.source, g.sink, d}, partition,
+                              source_side),
+            *set, d,
+            "trial " + std::to_string(trial) + (source_side ? " s" : " t"));
+        ++sides;
+      }
+    }
+  }
+  EXPECT_GT(sides, 500);
+}
+
+// The sides a cold service request sweeps: 9-node clusters with 8 extra
+// links (16 links a side), two crossing links of capacity 2..3, d = 2.
+TEST(SideArrayBoundary, ServiceShapedSidesQueryWithinTwiceTheBoundary) {
+  Xoshiro256 rng(20261024);
+  int sides = 0;
+  for (int i = 0; i < 4; ++i) {
+    ClusteredParams params;
+    params.nodes_s = params.nodes_t = 9;
+    params.extra_edges_s = params.extra_edges_t = 8;
+    params.bottleneck_links = 2;
+    params.bottleneck_caps = {2, 3};
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const std::optional<AssignmentSet> set =
+        try_assignments(g.net, partition, 2, AssignmentMode::kAuto);
+    ASSERT_TRUE(set.has_value()) << "instance " << i;
+    const auto snapshot = g.net.compile();
+    for (const bool source_side : {true, false}) {
+      const SideProblem side = make_side_problem(
+          snapshot, {g.source, g.sink, 2}, partition, source_side);
+      ASSERT_EQ(side.view.num_edges(), 16);
+      expect_queries_within_twice_the_boundary(
+          side, *set, 2,
+          "instance " + std::to_string(i) + (source_side ? " s" : " t"));
+      ++sides;
+    }
+  }
+  EXPECT_EQ(sides, 8);
+}
+
+// --- Stop and progress ----------------------------------------------------
+
+/// The E26 instance (bench/side_array_sweep, seed 33): a source side of
+/// 20 links, two crossing links, d = 2, forward-only assignments.
+struct E26Side {
+  GeneratedNetwork g;
+  BottleneckPartition partition;
+  AssignmentSet assignments;
+  SideProblem side;
+
+  E26Side() {
+    Xoshiro256 rng(33);
+    ClusteredParams params;
+    params.nodes_s = 11;
+    params.extra_edges_s = 10;
+    params.nodes_t = 4;
+    params.extra_edges_t = 1;
+    params.bottleneck_links = 2;
+    params.bottleneck_caps = {1, 3};
+    g = clustered_bottleneck(rng, params);
+    partition = partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    assignments = enumerate_assignments(g.net, partition, 2,
+                                        {AssignmentMode::kForwardOnly});
+    side = make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
+  }
+};
+
+/// A progress sink whose first write stalls for 10 ms, so a 5 ms
+/// deadline passes in the middle of the sweep however fast the host is.
+class StallingStreamBuf : public std::streambuf {
+ protected:
+  int overflow(int c) override {
+    stall();
+    return c;
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    stall();
+    return n;
+  }
+
+ private:
+  void stall() {
+    if (!stalled_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  std::atomic<bool> stalled_{false};
+};
+
+TEST(SideArrayStop, DeadlineStopsTheSweepPromptly) {
+  const E26Side e26;
+  ASSERT_EQ(e26.side.view.num_edges(), 20);
+  for (const int threads : {1, 0}) {
+    StallingStreamBuf stalling;
+    std::ostream progress_out(&stalling);
+    ExecContext ctx = ExecContext::with_deadline_ms(5.0);
+    ctx.max_threads = threads;
+    ctx.progress = std::make_shared<ProgressReporter>(&progress_out);
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      build_side_array(e26.side, e26.assignments, 2, nullptr, &ctx);
+      FAIL() << "threads=" << threads << ": the sweep outran its deadline";
+    } catch (const ExecInterrupted& stop) {
+      EXPECT_EQ(stop.status, SolveStatus::kDeadlineExpired);
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_LT(ms, 100.0) << "threads=" << threads;
+  }
+}
+
+TEST(SideArrayStop, ProgressReachesTheTotal) {
+  const E26Side e26;
+  std::ostringstream out;
+  ExecContext ctx;
+  ctx.progress = std::make_shared<ProgressReporter>(&out);
+  const std::vector<Mask> array =
+      build_side_array(e26.side, e26.assignments, 2, nullptr, &ctx);
+  EXPECT_EQ(ctx.progress->total(), std::uint64_t{1} << 20);
+  EXPECT_EQ(ctx.progress->visited(), ctx.progress->total());
+  EXPECT_EQ(array.size(), std::size_t{1} << 20);
 }
 
 }  // namespace

@@ -119,6 +119,34 @@ inline std::vector<Mask> oracle_side_array(const SideProblem& side,
   return array;
 }
 
+/// Size of a side array's boundary, summed over assignments: for each
+/// assignment bit j, the configurations that realize j while no
+/// configuration one link smaller does (minimal realizing), plus those
+/// that fail j while every configuration one link larger realizes it
+/// (maximal failing). Feasibility is monotone in the alive set, so the
+/// boundary fixes the array.
+inline std::uint64_t side_array_boundary(const std::vector<Mask>& array,
+                                         int num_links, int num_assignments) {
+  const Mask all = full_mask(num_assignments);
+  std::uint64_t boundary = 0;
+  for (Mask c = 0; c < array.size(); ++c) {
+    Mask below = 0;   // realized by some one-link-smaller configuration
+    Mask above = all; // realized by every one-link-larger configuration
+    for (int e = 0; e < num_links; ++e) {
+      const Mask n = array[static_cast<std::size_t>(c ^ bit(e))];
+      if (test_bit(c, e)) {
+        below |= n;
+      } else {
+        above &= n;
+      }
+    }
+    const Mask here = array[static_cast<std::size_t>(c)];
+    boundary += static_cast<std::uint64_t>(popcount(here & ~below) +
+                                           popcount(all & ~here & above));
+  }
+  return boundary;
+}
+
 /// Directed copy of a planted two-cluster network in which every path
 /// runs S -> T: source-side links point away from the source, sink-side
 /// links toward the sink (by BFS depth inside each cluster), crossing

@@ -16,7 +16,7 @@
 //   * keys under "trace." (span counters guarding the zero-copy side
 //     views): fail on any increase of a "*copies" counter above zero;
 //   * keys ending in "_coverage" (fractions of work answered by a fast
-//     path, e.g. the slab sweep's word-wide decisions) and keys ending
+//     path, e.g. the side sweep's closure-decided share) and keys ending
 //     in "_survival_rate" (fraction of cached artifacts a churn replay
 //     kept alive across deltas): fail when new < old * (1 - t) — a drop
 //     silently shifts work onto the slow path and shows up as a perf

@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 9, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 10, "stale public surface");
 
 namespace {
 

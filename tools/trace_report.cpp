@@ -3,7 +3,7 @@
 // Chrome trace-events into a per-phase SELF-TIME table — each span's
 // duration minus the time spent in spans nested inside it on the same
 // thread — so the hot phase is visible even when spans wrap each other
-// (compute_reliability > build_side_array > side_sweep_shard > maxflow).
+// (compute_reliability > bottleneck > side_array_s > build_side_array).
 //
 //   trace_report trace.json [--telemetry report.json] [--csv] [--top N]
 //
