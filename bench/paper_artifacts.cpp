@@ -90,7 +90,7 @@ void e4_side_array() {
       partition_from_sides(g.net, g.source, g.sink, g.side_s);
   const AssignmentSet set = enumerate_assignments(g.net, partition, 2, {});
   const SideProblem side = make_side_problem(g.net, demand, partition, true);
-  const auto array = build_side_array(side, set, 2);
+  const std::vector<Mask> array = config_form(build_side_array(side, set, 2));
   std::cout << "source side G_s: " << side.view.num_nodes() << " nodes, "
             << side.view.num_edges() << " edges, array of 2^"
             << side.view.num_edges() << " = " << array.size()
@@ -141,7 +141,7 @@ void e6_fig5() {
       partition_from_sides(g.net, g.source, g.sink, g.side_s);
   const AssignmentSet set = enumerate_assignments(g.net, partition, 2, {});
   const SideProblem side = make_side_problem(g.net, demand, partition, true);
-  const auto array = build_side_array(side, set, 2);
+  const std::vector<Mask> array = config_form(build_side_array(side, set, 2));
   const Fig5Configs configs = fig5_source_side_configs();
   TextTable t({"configuration", "alive side links", "realized assignments"});
   const char* names[] = {"(a)", "(b)", "(c)"};

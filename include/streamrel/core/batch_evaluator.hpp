@@ -7,7 +7,7 @@
 //      mask tables. Later queries hit what earlier ones built, so a batch
 //      of probability-only what-ifs pays the exponential cost once.
 //   2. ACCUMULATE (parallel): the prepared queries are probability-only
-//      Gray-order folds over pinned artifacts — independent, read-only
+//      side folds over pinned artifacts — independent, read-only
 //      work scheduled across the ExecContext thread policy. Entries stay
 //      alive through shared_ptr pins even if the serving LRU evicts them
 //      mid-batch.

@@ -80,9 +80,9 @@ struct BottleneckArtifacts {
   AssignmentMode mode_used = AssignmentMode::kForwardOnly;
   SideProblem side_s;
   SideProblem side_t;
-  /// The side arrays in slab (Gray-rank-ordered, palette-indexed)
-  /// resting form — what the fold consumes with unit stride. at_config() recovers the
-  /// paper's configuration-indexed view; config_form() materializes it.
+  /// The side arrays in their resting form (palette-indexed, in
+  /// configuration order) — what the fold consumes with unit stride.
+  /// config_form() materializes the paper's array[config] view.
   SlabMaskTable array_s;
   SlabMaskTable array_t;
   /// Construction-cost counters, laid out exactly as BottleneckResult
@@ -170,10 +170,11 @@ ThroughputDistribution throughput_bottleneck(
     const BottleneckOptions& options = {});
 
 /// The paper's Equation (1) for a single bridge link e*: the reliability
-/// of a bridged graph is r(G_s) * (1 - p(e*)) * r(G_t), with the side
-/// reliabilities computed by naive enumeration against demands
-/// (s, x, d) and (y, t, d). Provided for the Fig.-2 reproduction and as
-/// an independently-coded cross-check of the k = 1 decomposition.
+/// of a bridged graph is r(G_s) * (1 - p(e*)) * r(G_t). Each side
+/// reliability, for the demands (s, x, d) and (y, t, d), is the realized
+/// mass of that side's array over the one assignment that routes d over
+/// e*. Provided for the Fig.-2 reproduction and as a cross-check of the
+/// k = 1 accumulation (Equations 2-3).
 double reliability_bridge_formula(const FlowNetwork& net,
                                   const FlowDemand& demand, EdgeId bridge);
 

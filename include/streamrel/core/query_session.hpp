@@ -11,10 +11,10 @@
 //   1. bottleneck decompositions, keyed by (s, t) + search options;
 //   2. assignment sets, keyed by (cut, d);
 //   3. side-array mask tables, keyed by (side subgraph, cut capacities,
-//      d) — LRU-bounded, since one table holds 2^|E_side| ranks. Tables
-//      rest in slab form (SlabMaskTable: a palette of distinct masks and
-//      a one-byte index per Gray rank), the layout the fold consumes
-//      with unit stride.
+//      d) — LRU-bounded, since one table holds 2^|E_side| configurations.
+//      Tables rest as SlabMaskTable (a palette of distinct masks and a
+//      one-byte index per configuration, in configuration order), the
+//      layout the fold consumes with unit stride.
 //
 // A probability-only "what-if" query (perturbed p(e) after churn, same
 // topology) then skips straight to the accumulation: two folds (a

@@ -30,13 +30,18 @@
 // queried NO is a maximal failing configuration. SideMaskEvaluator below
 // is the paper's scalar procedure, one bounded max-flow per question; the
 // two give identical arrays.
+//
+// At rest a side array is a SlabMaskTable: a palette of the distinct
+// realized-assignment masks plus one small palette index per
+// configuration, in configuration order, which the fold reads with unit
+// stride.
 
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "streamrel/core/assignments.hpp"
-#include "streamrel/core/bit_slabs.hpp"
 #include "streamrel/graph/compiled.hpp"
 #include "streamrel/maxflow/maxflow.hpp"
 #include "streamrel/util/exec_context.hpp"
@@ -101,8 +106,52 @@ struct SideArrayStats {
   void merge(const SideArrayStats& other) { telemetry.merge(other.telemetry); }
 };
 
-/// The paper's array: element m is the mask of assignments realized by
-/// side failure configuration m. Size 2^|side edges|.
+/// A side array at rest, as a palette-indexed mask column: `palette`
+/// holds the distinct realized-assignment masks in first-seen
+/// configuration order, and `index` holds, per configuration c, the
+/// palette slot of c's mask. Sides realize few distinct masks, so the
+/// index is one byte per configuration while the palette holds at most
+/// 256 masks and widens to two or four bytes only for tables that need
+/// it. Both the palette order and the index width follow from the masks
+/// alone, so equal arrays give equal tables. This is the form
+/// BottleneckArtifacts carries and QuerySession caches.
+struct SlabMaskTable {
+  using Index = std::variant<std::vector<std::uint8_t>,
+                             std::vector<std::uint16_t>,
+                             std::vector<std::uint32_t>>;
+
+  std::vector<Mask> palette;
+  Index index;
+  int num_links = 0;  ///< |E_side|: size() == 2^num_links
+
+  std::size_t size() const noexcept {
+    return std::visit([](const auto& column) { return column.size(); },
+                      index);
+  }
+  bool empty() const noexcept { return size() == 0; }
+  void clear() noexcept {
+    palette.clear();
+    index = Index{};
+    num_links = 0;
+  }
+  /// Resident bytes: the index column plus the palette.
+  std::size_t bytes() const noexcept {
+    const std::size_t width = std::visit(
+        [](const auto& column) { return sizeof(column[0]); }, index);
+    return size() * width + palette.size() * sizeof(Mask);
+  }
+
+  bool operator==(const SlabMaskTable& other) const = default;
+};
+
+/// Compresses a configuration-indexed array (array[config]) into its
+/// table, and expands it back. Both directions are exact inverses.
+SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
+                        int num_links);
+std::vector<Mask> config_form(const SlabMaskTable& table);
+
+/// The paper's array: configuration c's entry is the mask of assignments
+/// c realizes, for all 2^|side edges| configurations.
 ///
 /// On arrays of 1024 or more configurations the assignments are swept
 /// in parallel under OpenMP, one task each. A column depends on its
@@ -112,34 +161,25 @@ struct SideArrayStats {
 /// every ExecContext::kPollStride queries; a stop raises ExecInterrupted
 /// (after the parallel region has joined) — callers above the engine
 /// layer never see it.
-std::vector<Mask> build_side_array(const SideProblem& side,
-                                   const AssignmentSet& assignments,
-                                   Capacity demand_rate,
-                                   SideArrayStats* stats = nullptr,
-                                   const ExecContext* ctx = nullptr);
-
-/// The same array in its rank-ordered resting form (see SlabMaskTable):
-/// what BottleneckArtifacts carries and the fold consumes with unit
-/// stride. Identical sweep, identical counters; only the output
-/// permutation differs.
-SlabMaskTable build_side_array_slab(const SideProblem& side,
-                                    const AssignmentSet& assignments,
-                                    Capacity demand_rate,
-                                    SideArrayStats* stats = nullptr,
-                                    const ExecContext* ctx = nullptr);
+SlabMaskTable build_side_array(const SideProblem& side,
+                               const AssignmentSet& assignments,
+                               Capacity demand_rate,
+                               SideArrayStats* stats = nullptr,
+                               const ExecContext* ctx = nullptr);
 
 /// A side array folded into a sparse probability distribution over
 /// realized-assignment masks: bucket (m, P{configurations realizing
 /// exactly the set m}), sorted by mask. The accumulation step only needs
-/// this. The fold walks the table's palette index in Gray-rank order.
-/// Each configuration's probability is the product of its edge factors
-/// (alive ? 1 - p : p) in ascending edge order, starting from 1.0. A
-/// prefix table over the low ten edges supplies most of each product,
-/// so the per-configuration work is a few vectorized multiplies. The
-/// probabilities then add into their palette slot's bucket and into a
-/// Neumaier total, both in rank order. Every IEEE operation is fixed by
-/// the masks and the probabilities, so the result is bitwise identical
-/// across thread counts, index widths and host CPUs.
+/// this. The fold walks the table's palette index in configuration
+/// order. Each configuration's probability is the product of its edge
+/// factors (alive ? 1 - p : p) in ascending edge order, starting from
+/// 1.0. A prefix table over the low ten edges supplies most of each
+/// product, so the per-configuration work is a few vectorized
+/// multiplies. The probabilities then add into their palette slot's
+/// bucket and into a Neumaier total, both in configuration order. Every
+/// IEEE operation is fixed by the masks and the probabilities, so the
+/// result is bitwise identical across thread counts, index widths and
+/// host CPUs.
 struct MaskDistribution {
   std::vector<std::pair<Mask, double>> buckets;
   double total = 0.0;  ///< sum of bucket probabilities (== 1 up to rounding)
@@ -152,7 +192,7 @@ MaskDistribution bucket_side_array(const SideProblem& side,
 /// link, indexed by side.view edge id) — the probability-only "what-if"
 /// path: the cached mask table is reused, only the fold reruns. Throws
 /// std::invalid_argument unless there is one probability per side link
-/// and the table holds 2^|side links| ranks.
+/// and the table holds 2^|side links| configurations.
 MaskDistribution bucket_side_array(const SideProblem& side,
                                    const SlabMaskTable& table,
                                    std::span<const double> failure_probs);

@@ -22,11 +22,10 @@
 //
 // NetworkView is the zero-copy companion: a side component of the
 // bottleneck decomposition (§III-C) as index-translation tables over one
-// pinned snapshot — no node or edge is copied, unlike the historical
-// `Subgraph`, which materialized each side as a full FlowNetwork. View
-// edge ids are dense [0, num_edges) in original-edge-id order, the same
-// compact numbering Subgraph used, so failure masks and side arrays are
-// bit-for-bit unchanged.
+// pinned snapshot — no node or edge is copied. View edge ids are dense
+// [0, num_edges) in original-edge-id order, the numbering a side copied
+// into its own FlowNetwork would get, so failure masks and side arrays
+// match such a copy bit for bit.
 
 #include <cstdint>
 #include <memory>
@@ -210,7 +209,7 @@ class CompiledNetwork {
 /// Zero-copy view of a node-induced side component of one snapshot:
 /// index-translation tables only, with the snapshot pinned by shared_ptr.
 /// View node/edge ids are dense and ordered by original id — identical
-/// numbering to the historical Subgraph, so side failure masks are
+/// numbering to a copied side subnetwork, so side failure masks are
 /// unchanged bit for bit.
 class NetworkView {
  public:

@@ -128,4 +128,12 @@ class FlowNetwork {
   std::vector<std::vector<EdgeId>> incident_;
 };
 
+/// Replicated-source transform: adds a virtual super source wired to each
+/// listed server with a perfect (p = 0) infinite-capacity feed link, so
+/// multi-origin deployments ("any of these servers can push the stream")
+/// reduce to the single-source model every algorithm here expects.
+/// Returns the id of the new source node; `net` gains 1 node and
+/// |servers| edges (appended last, so existing edge ids are unchanged).
+NodeId merge_sources(FlowNetwork& net, const std::vector<NodeId>& servers);
+
 }  // namespace streamrel

@@ -14,7 +14,6 @@
 #include "streamrel/core/accumulate.hpp"          // IWYU pragma: export
 #include "streamrel/core/batch_evaluator.hpp"     // IWYU pragma: export
 #include "streamrel/core/assignments.hpp"         // IWYU pragma: export
-#include "streamrel/core/bit_slabs.hpp"           // IWYU pragma: export
 #include "streamrel/core/bottleneck_algorithm.hpp"// IWYU pragma: export
 #include "streamrel/core/chain.hpp"               // IWYU pragma: export
 #include "streamrel/core/engine.hpp"              // IWYU pragma: export
@@ -37,7 +36,6 @@
 #include "streamrel/graph/graph_algos.hpp"        // IWYU pragma: export
 #include "streamrel/graph/io.hpp"                 // IWYU pragma: export
 #include "streamrel/graph/serialize.hpp"          // IWYU pragma: export
-#include "streamrel/graph/subgraph.hpp"           // IWYU pragma: export
 #include "streamrel/maxflow/dinic.hpp"            // IWYU pragma: export
 #include "streamrel/maxflow/incremental_dinic.hpp"// IWYU pragma: export
 #include "streamrel/maxflow/maxflow.hpp"          // IWYU pragma: export

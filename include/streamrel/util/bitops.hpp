@@ -46,19 +46,6 @@ constexpr int gray_flip_bit(Mask i) noexcept {
   return std::countr_zero(i + 1);
 }
 
-/// Inverse of gray_code: the rank i with gray_code(i) == g. Each fold
-/// XORs the running prefix parity down one more power-of-two stride, so
-/// bit j of the result ends up as the XOR of bits j.. of g.
-constexpr Mask gray_rank(Mask g) noexcept {
-  g ^= g >> 1;
-  g ^= g >> 2;
-  g ^= g >> 4;
-  g ^= g >> 8;
-  g ^= g >> 16;
-  g ^= g >> 32;
-  return g;
-}
-
 /// Iterates all submasks of `superset` (including 0 and superset itself)
 /// in decreasing numeric order of the submask bits. Usage:
 ///   for (SubmaskRange r(sup); !r.done(); r.next()) use(r.value());

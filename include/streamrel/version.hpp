@@ -33,15 +33,15 @@
 /// than kMaxWireLineBytes (api/wire.hpp) get one parse_error.
 /// v8: one side-array sweep — FeasibilityMethod, SideSweepStrategy,
 /// SideArrayOptions and BottleneckOptions::side are gone, as are the
-/// `options` parameter of build_side_array / build_side_array_slab, the
+/// `options` parameter of both side-array builders, the
 /// maxflow_calls-pointer overload of build_side_array, the
 /// pruned_decisions telemetry key and both pruned_decisions() accessors.
 /// v9: one request path — RequestScheduler::submit takes an absolute
 /// steady_clock deadline (kNoDeadline for none) and its Job receives the
 /// measured queue wait; ExecContext::apply_deadline_budgets and the
 /// extra_members parameter of render_solve_result are gone.
-/// v10: certificate-closure side sweep — the BitSlabs class
-/// (core/bit_slabs.hpp), the lanes_certificate / lanes_connectivity /
+/// v10: certificate-closure side sweep — the BitSlabs class, the
+/// lanes_certificate / lanes_connectivity /
 /// lanes_popcount / engine_toggles telemetry keys, both engine_toggles()
 /// accessors, IncrementalMaxFlow's ConfigResidual constructor with
 /// sync_to / set_super_arc / set_target / support_mask / cut_mask /
@@ -49,7 +49,13 @@
 /// ConfigResidual::SuperArc / super_arc() / num_super_arcs() are gone.
 /// ExecContext::set_deadline_ms treats a non-finite budget, or one of
 /// ExecContext::kNoDeadlineMs or more, as no deadline.
-#define STREAMREL_API_VERSION 10
+/// v11: side arrays in configuration order — build_side_array is the one
+/// builder and returns the SlabMaskTable (now declared in
+/// core/side_array.hpp), indexed by configuration. The second builder,
+/// the table's rank-order accessors and header, the Gray-rank inverse
+/// and the copied-subgraph header are gone (README lists them);
+/// merge_sources moved to graph/flow_network.hpp.
+#define STREAMREL_API_VERSION 11
 
 namespace streamrel {
 

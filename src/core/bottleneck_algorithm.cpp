@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "streamrel/graph/graph_algos.hpp"
-#include "streamrel/graph/subgraph.hpp"
-#include "streamrel/reliability/naive.hpp"
 #include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/stats.hpp"
 #include "streamrel/util/trace.hpp"
@@ -81,8 +78,8 @@ BottleneckArtifacts build_bottleneck_artifacts(
       SideArrayStats stats_s;
       TraceSpan span("side_array_s", "phase");
       artifacts.array_s =
-          build_side_array_slab(artifacts.side_s, artifacts.assignments,
-                                demand.rate, &stats_s, ctx);
+          build_side_array(artifacts.side_s, artifacts.assignments,
+                           demand.rate, &stats_s, ctx);
       side_tel_s = std::move(stats_s.telemetry);
     }
     if (reuse_t) {
@@ -95,8 +92,8 @@ BottleneckArtifacts build_bottleneck_artifacts(
       SideArrayStats stats_t;
       TraceSpan span("side_array_t", "phase");
       artifacts.array_t =
-          build_side_array_slab(artifacts.side_t, artifacts.assignments,
-                                demand.rate, &stats_t, ctx);
+          build_side_array(artifacts.side_t, artifacts.assignments,
+                           demand.rate, &stats_t, ctx);
       side_tel_t = std::move(stats_t.telemetry);
     }
     artifacts.telemetry.merge(side_tel_s);
@@ -252,22 +249,27 @@ double reliability_bridge_formula(const FlowNetwork& net,
       partition->side_s[static_cast<std::size_t>(e.u)] ? e.u : e.v;
   const NodeId y = e.other(x);
 
-  const Subgraph g_s = induced_subgraph(net, partition->side_s);
-  std::vector<bool> sink_side(partition->side_s);
-  sink_side.flip();
-  const Subgraph g_t = induced_subgraph(net, sink_side);
-
-  auto side_reliability = [&](const Subgraph& sub, NodeId from, NodeId to) {
-    const NodeId sub_from = sub.node_to_sub[static_cast<std::size_t>(from)];
-    const NodeId sub_to = sub.node_to_sub[static_cast<std::size_t>(to)];
-    if (sub_from == sub_to) return 1.0;  // the demand endpoint IS the
+  // Each side's factor is the probability mass of the side
+  // configurations that realize the one assignment routing d over the
+  // bridge.
+  const std::shared_ptr<const CompiledNetwork> snapshot = net.compile();
+  const AssignmentSet over_bridge{{Assignment{{demand.rate}}}};
+  auto side_reliability = [&](bool source_side, NodeId anchor,
+                              NodeId endpoint) {
+    if (anchor == endpoint) return 1.0;  // the demand endpoint IS the
                                          // bridge endpoint: nothing to route
-    return reliability_naive(sub.net,
-                             FlowDemand{sub_from, sub_to, demand.rate})
-        .reliability;
+    const SideProblem side =
+        make_side_problem(snapshot, demand, *partition, source_side);
+    const MaskDistribution dist = bucket_side_array(
+        side, build_side_array(side, over_bridge, demand.rate));
+    double realized = 0.0;
+    for (const auto& [mask, p] : dist.buckets) {
+      if (mask != 0) realized += p;
+    }
+    return realized;
   };
-  const double r_s = side_reliability(g_s, demand.source, x);
-  const double r_t = side_reliability(g_t, y, demand.sink);
+  const double r_s = side_reliability(true, demand.source, x);
+  const double r_t = side_reliability(false, demand.sink, y);
   return r_s * (1.0 - e.failure_prob) * r_t;  // Equation (1)
 }
 

@@ -8,7 +8,6 @@
 #include "streamrel/core/accumulate.hpp"
 #include "streamrel/core/bottleneck_algorithm.hpp"
 #include "streamrel/core/side_array.hpp"
-#include "streamrel/graph/subgraph.hpp"
 #include "streamrel/maxflow/config_residual.hpp"
 #include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/stats.hpp"
@@ -262,8 +261,8 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     const SideProblem first_side = make_side_problem(
         snapshot, demand, boundaries.front().partition, /*source_side=*/true);
     const SlabMaskTable first_array =
-        build_side_array_slab(first_side, boundaries.front().assignments,
-                              demand.rate, &side_stats, ctx);
+        build_side_array(first_side, boundaries.front().assignments,
+                         demand.rate, &side_stats, ctx);
     configurations += first_array.size();
     StateMap state;
     for (const auto& [mask, p] :
@@ -292,8 +291,8 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     const SideProblem last_side = make_side_problem(
         snapshot, demand, boundaries.back().partition, /*source_side=*/false);
     const SlabMaskTable last_array =
-        build_side_array_slab(last_side, boundaries.back().assignments,
-                              demand.rate, &side_stats, ctx);
+        build_side_array(last_side, boundaries.back().assignments,
+                         demand.rate, &side_stats, ctx);
     configurations += last_array.size();
     const MaskDistribution final_dist =
         bucket_side_array(last_side, last_array);

@@ -58,9 +58,9 @@ ReliabilityPolynomial polynomial_bottleneck(
   const int m_s = side_s.view.num_edges();
   const int m_t = side_t.view.num_edges();
   const CountTable counts_s = bucket_counts(
-      build_side_array(side_s, assignments, demand.rate), m_s);
+      config_form(build_side_array(side_s, assignments, demand.rate)), m_s);
   const CountTable counts_t = bucket_counts(
-      build_side_array(side_t, assignments, demand.rate), m_t);
+      config_form(build_side_array(side_t, assignments, demand.rate)), m_t);
 
   const int k = partition.k();
   for (Mask alive = 0; alive < (Mask{1} << k); ++alive) {

@@ -6,6 +6,8 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -312,11 +314,10 @@ ClosureColumn close_assignment(const SideProblem& side,
 
 }  // namespace
 
-std::vector<Mask> build_side_array(const SideProblem& side,
-                                   const AssignmentSet& assignments,
-                                   Capacity demand_rate,
-                                   SideArrayStats* stats,
-                                   const ExecContext* ctx) {
+SlabMaskTable build_side_array(const SideProblem& side,
+                               const AssignmentSet& assignments,
+                               Capacity demand_rate, SideArrayStats* stats,
+                               const ExecContext* ctx) {
   if (!assignments.fits_mask()) {
     throw std::invalid_argument("assignment set too large for mask bits");
   }
@@ -415,16 +416,7 @@ std::vector<Mask> build_side_array(const SideProblem& side,
                                        .count();
     telemetry.timer_ms("sweep_cpu") += cpu;
   }
-  return array;
-}
-
-SlabMaskTable build_side_array_slab(const SideProblem& side,
-                                    const AssignmentSet& assignments,
-                                    Capacity demand_rate,
-                                    SideArrayStats* stats,
-                                    const ExecContext* ctx) {
-  return slab_form(build_side_array(side, assignments, demand_rate, stats, ctx),
-                   side.view.num_edges());
+  return slab_form(array, m);
 }
 
 // The paper's scalar procedure: one reset + bounded solve per question.
@@ -476,6 +468,120 @@ Mask SideMaskEvaluator::realized(Mask config) {
 
 namespace {
 
+// Open-addressed mask -> palette slot map for slab_form: each table cell
+// holds a palette slot. Runs of equal masks are common (the low links
+// often decide nothing), so the last answer is checked first.
+class PaletteSlots {
+ public:
+  explicit PaletteSlots(std::vector<Mask>& palette) : palette_(palette) {}
+
+  std::uint32_t slot(Mask mask) {
+    if (last_ < palette_.size() && palette_[last_] == mask) return last_;
+    std::size_t i = home(mask);
+    while (table_[i] != kFree && palette_[table_[i]] != mask) i = next(i);
+    if (table_[i] != kFree) return last_ = table_[i];
+    last_ = table_[i] = static_cast<std::uint32_t>(palette_.size());
+    palette_.push_back(mask);
+    if (palette_.size() * 2 > table_.size()) grow();
+    return last_;
+  }
+
+ private:
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+
+  std::size_t home(Mask mask) const noexcept {
+    return static_cast<std::size_t>((mask * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  std::size_t next(std::size_t i) const noexcept {
+    return (i + 1) & (table_.size() - 1);
+  }
+
+  void grow() {
+    table_.assign(table_.size() * 2, kFree);
+    --shift_;
+    for (std::uint32_t s = 0; s < palette_.size(); ++s) {
+      std::size_t i = home(palette_[s]);
+      while (table_[i] != kFree) i = next(i);
+      table_[i] = s;
+    }
+  }
+
+  std::vector<Mask>& palette_;
+  std::vector<std::uint32_t> table_ = std::vector<std::uint32_t>(64, kFree);
+  int shift_ = 64 - 6;  ///< 64 - log2(table_.size())
+  std::uint32_t last_ = 0;
+};
+
+// Writes the palette slots of the configurations from `config` on into
+// `column` until the palette outgrows its index type; returns the first
+// configuration not written.
+template <typename I>
+std::size_t fill_slots(const std::vector<Mask>& config_indexed,
+                       std::size_t config, PaletteSlots& slots,
+                       std::vector<I>& column) {
+  for (; config < column.size(); ++config) {
+    const std::uint32_t s = slots.slot(config_indexed[config]);
+    if (s > std::numeric_limits<I>::max()) break;
+    column[config] = static_cast<I>(s);
+  }
+  return config;
+}
+
+// Copies the configurations done so far into a column of the next index
+// width.
+template <typename Wide, typename Narrow>
+std::vector<Wide> widen(const std::vector<Narrow>& column, std::size_t done) {
+  std::vector<Wide> wide(column.size());
+  std::copy(column.begin(), column.begin() + static_cast<std::ptrdiff_t>(done),
+            wide.begin());
+  return wide;
+}
+
+}  // namespace
+
+SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
+                        int num_links) {
+  if (config_indexed.size() != (std::size_t{1} << num_links)) {
+    throw std::invalid_argument("slab_form: array size is not 2^num_links");
+  }
+  const std::size_t n = config_indexed.size();
+  SlabMaskTable table;
+  table.num_links = num_links;
+  PaletteSlots slots(table.palette);
+  // One pass in configuration order; the column widens only when the
+  // palette outgrows 256, then 65,536 masks.
+  std::vector<std::uint8_t> narrow(n);
+  std::size_t config = fill_slots(config_indexed, 0, slots, narrow);
+  if (config == n) {
+    table.index = std::move(narrow);
+    return table;
+  }
+  std::vector<std::uint16_t> mid = widen<std::uint16_t>(narrow, config);
+  config = fill_slots(config_indexed, config, slots, mid);
+  if (config == n) {
+    table.index = std::move(mid);
+    return table;
+  }
+  std::vector<std::uint32_t> wide = widen<std::uint32_t>(mid, config);
+  fill_slots(config_indexed, config, slots, wide);
+  table.index = std::move(wide);
+  return table;
+}
+
+std::vector<Mask> config_form(const SlabMaskTable& table) {
+  std::vector<Mask> array(table.size());
+  std::visit(
+      [&](const auto& column) {
+        for (std::size_t c = 0; c < column.size(); ++c) {
+          array[c] = table.palette[column[c]];
+        }
+      },
+      table.index);
+  return array;
+}
+
+namespace {
+
 // Low edges covered by the fold's prefix table: 2^10 doubles stay in L1.
 constexpr int kPrefixEdges = 10;
 
@@ -484,19 +590,18 @@ constexpr int kPrefixEdges = 10;
 // ascending edge order, starting from 1.0 — the definitional sequence,
 // reached with almost no per-configuration work:
 //   * a prefix table over the low L = min(m, 10) edges, built level by
-//     level, holds the products over edges 0..L-1 of every low pattern;
-//   * rank r = B * 2^L + l has gray_code(r) = (gray_code(B) << L) ^
-//     gray_code(l) ^ ((B & 1) << (L - 1)), so two rank-ordered copies of
-//     the table (one per parity of the block index B) give the low
-//     products of a whole block with unit stride;
-//   * the high edges' factors are constant over a block and multiply in,
-//     in ascending edge order, as flat vectorizable passes.
-// Buckets and the Neumaier total then accumulate in rank order, so the
-// result is bitwise fixed by the masks and the probabilities alone.
+//     level, holds the products over edges 0..L-1 of every low pattern,
+//     so configuration c = b * 2^L + l takes its low product from slot l
+//     and a whole block b reads the table with unit stride;
+//   * the high edges' factors follow from the bits of b, are constant
+//     over the block and multiply in, in ascending edge order, as flat
+//     vectorizable passes.
+// Buckets and the Neumaier total then accumulate in configuration order,
+// so the result is bitwise fixed by the masks and the probabilities alone.
 template <typename I>
-MaskDistribution fold_ranks(int m, std::span<const double> probs,
-                            const std::vector<Mask>& palette,
-                            const std::vector<I>& index) {
+MaskDistribution fold_configs(int m, std::span<const double> probs,
+                              const std::vector<Mask>& palette,
+                              const std::vector<I>& index) {
   const int low = std::min(m, kPrefixEdges);
   const std::size_t block = std::size_t{1} << low;
   std::vector<double> prefix(block);
@@ -509,22 +614,13 @@ MaskDistribution fold_ranks(int m, std::span<const double> probs,
       prefix[x] *= p;
     }
   }
-  std::vector<double> rank_prefix(2 * block);  // parity 0, then parity 1
-  const Mask seam = low > 0 ? bit(low - 1) : 0;
-  for (std::size_t l = 0; l < block; ++l) {
-    const Mask g = gray_code(l);
-    rank_prefix[l] = prefix[static_cast<std::size_t>(g)];
-    rank_prefix[block + l] = prefix[static_cast<std::size_t>(g ^ seam)];
-  }
 
   std::vector<double> sums(palette.size(), 0.0);
   KahanSum total;
   std::vector<double> lane(block);
   for (std::size_t base = 0; base < index.size(); base += block) {
-    const Mask b = base >> low;
-    const Mask high = gray_code(b);
-    const double* low_products = rank_prefix.data() + (b & 1) * block;
-    std::copy(low_products, low_products + block, lane.begin());
+    const Mask high = base >> low;
+    std::copy(prefix.begin(), prefix.end(), lane.begin());
     // Four factors per pass; padding with 1.0 leaves every bit as is.
     for (int e = low; e < m; e += 4) {
       std::array<double, 4> f{1.0, 1.0, 1.0, 1.0};
@@ -571,7 +667,7 @@ MaskDistribution bucket_side_array(const SideProblem& side,
   }
   return std::visit(
       [&](const auto& index) {
-        return fold_ranks(m, probs, table.palette, index);
+        return fold_configs(m, probs, table.palette, index);
       },
       table.index);
 }

@@ -167,8 +167,8 @@ NetworkView::NetworkView(std::shared_ptr<const CompiledNetwork> snapshot,
     throw std::invalid_argument("NetworkView: side vector size mismatch");
   }
   TraceSpan span("network_view");
-  // Same dense, id-ordered numbering as induced_subgraph: nodes first,
-  // then edges with both endpoints inside, in original-id order.
+  // Dense, id-ordered numbering: nodes first, then edges with both
+  // endpoints inside, in original-id order.
   node_to_view_.assign(in_side.size(), kInvalidNode);
   for (NodeId n = 0; n < snapshot_->num_nodes(); ++n) {
     if (in_side[static_cast<std::size_t>(n)]) {

@@ -106,4 +106,26 @@ std::string FlowNetwork::summary() const {
   return oss.str();
 }
 
+NodeId merge_sources(FlowNetwork& net, const std::vector<NodeId>& servers) {
+  if (servers.empty()) {
+    throw std::invalid_argument("merge_sources: need >= 1 server");
+  }
+  Capacity total = 0;
+  for (NodeId server : servers) {
+    if (!net.valid_node(server)) {
+      throw std::invalid_argument("merge_sources: bad server id");
+    }
+    for (EdgeId id : net.incident_edges(server)) {
+      total += net.edge(id).capacity;
+    }
+  }
+  const NodeId super = net.add_node();
+  // Capacity = sum of all server incident capacity: an effective infinity
+  // that keeps the integer arithmetic bounded.
+  for (NodeId server : servers) {
+    net.add_directed_edge(super, server, total, 0.0);
+  }
+  return super;
+}
+
 }  // namespace streamrel

@@ -64,12 +64,10 @@ TEST(Bottleneck, Fig4NaiveEquationOneStyleProductWouldBeWrong) {
   const SideProblem st = make_side_problem(g.net, demand, partition, false);
   const AssignmentSet assignments =
       enumerate_assignments(g.net, partition, 2, {});
-  const auto as = build_side_array(ss, assignments, 2);
-  const auto at = build_side_array(st, assignments, 2);
   const MaskDistribution ds =
-      bucket_side_array(ss, slab_form(as, ss.view.num_edges()));
+      bucket_side_array(ss, build_side_array(ss, assignments, 2));
   const MaskDistribution dt =
-      bucket_side_array(st, slab_form(at, st.view.num_edges()));
+      bucket_side_array(st, build_side_array(st, assignments, 2));
   double p_s_any = 0.0, p_t_any = 0.0;
   for (const auto& [m, p] : ds.buckets) {
     if (m != 0) p_s_any += p;

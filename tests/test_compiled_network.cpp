@@ -1,7 +1,7 @@
 // Property tests for the CompiledNetwork snapshot and NetworkView
 // zero-copy side views: the CSR columns must round-trip the builder
-// exactly, views must reproduce the historical Subgraph numbering bit
-// for bit, and every cached/uncached solve path must agree bitwise.
+// exactly, views must reproduce a copied subnetwork's numbering bit for
+// bit, and every cached/uncached solve path must agree bitwise.
 
 #include "streamrel/graph/compiled.hpp"
 
@@ -14,10 +14,10 @@
 #include "streamrel/core/query_session.hpp"
 #include "streamrel/cuts/bottleneck.hpp"
 #include "streamrel/graph/generators.hpp"
-#include "streamrel/graph/subgraph.hpp"
 #include "streamrel/maxflow/config_residual.hpp"
 #include "streamrel/maxflow/dinic.hpp"
 #include "streamrel/util/prng.hpp"
+#include "test_support.hpp"
 
 namespace streamrel {
 namespace {
@@ -127,7 +127,7 @@ TEST(NetworkView, TranslationMatchesSubgraphAcrossSeededGraphs) {
   for (int seed = 0; seed < kSeeds; ++seed) {
     const GeneratedNetwork g = seeded_graph(seed);
     const std::vector<bool> side = random_side(g.net, seed);
-    const Subgraph sub = induced_subgraph(g.net, side);
+    const testing::CopiedSide sub = testing::copy_side(g.net, side);
     const NetworkView view(g.net.compile(), side);
 
     ASSERT_EQ(view.num_nodes(), sub.net.num_nodes()) << "seed " << seed;
@@ -152,8 +152,10 @@ TEST(NetworkView, TranslationMatchesSubgraphAcrossSeededGraphs) {
       for (int trial = 0; trial < 16; ++trial) {
         const Mask original = rng() & full_mask(g.net.num_edges());
         const Mask projected = view.project_mask(original);
-        EXPECT_EQ(projected, project_mask(sub, original)) << "seed " << seed;
-        EXPECT_EQ(view.lift_mask(projected), lift_mask(sub, projected));
+        EXPECT_EQ(projected, testing::copied_project_mask(sub, original))
+            << "seed " << seed;
+        EXPECT_EQ(view.lift_mask(projected),
+                  testing::copied_lift_mask(sub, projected));
       }
     }
   }
@@ -166,7 +168,7 @@ TEST(NetworkView, ConfigResidualMatchesCopiedSubgraphMaxFlows) {
   for (int seed = 0; seed < 40; ++seed) {
     const GeneratedNetwork g = seeded_graph(seed);
     const std::vector<bool> side = random_side(g.net, seed);
-    const Subgraph sub = induced_subgraph(g.net, side);
+    const testing::CopiedSide sub = testing::copy_side(g.net, side);
     if (sub.net.num_edges() == 0 || !sub.net.fits_mask()) continue;
 
     ConfigResidual from_copy(sub.net);

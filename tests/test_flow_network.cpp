@@ -109,5 +109,28 @@ TEST(FlowNetwork, SummaryMentionsKinds) {
   EXPECT_NE(net.summary().find("1 directed"), std::string::npos);
 }
 
+TEST(MergeSources, SuperSourceFeedsAllServers) {
+  FlowNetwork net(4);
+  net.add_undirected_edge(0, 2, 2, 0.1);
+  net.add_undirected_edge(1, 2, 3, 0.1);
+  net.add_undirected_edge(2, 3, 4, 0.1);
+  const NodeId super = merge_sources(net, {0, 1});
+  EXPECT_EQ(super, 4);
+  EXPECT_EQ(net.num_edges(), 5);
+  // Feed links are perfect and directed, appended after existing edges.
+  for (EdgeId id = 3; id < 5; ++id) {
+    EXPECT_TRUE(net.edge(id).directed());
+    EXPECT_DOUBLE_EQ(net.edge(id).failure_prob, 0.0);
+    EXPECT_EQ(net.edge(id).u, super);
+  }
+}
+
+TEST(MergeSources, ValidatesInput) {
+  FlowNetwork net(2);
+  net.add_undirected_edge(0, 1, 1, 0.1);
+  EXPECT_THROW(merge_sources(net, {}), std::invalid_argument);
+  EXPECT_THROW(merge_sources(net, {5}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace streamrel

@@ -97,7 +97,8 @@ TEST(PaperExamples, Example2ArrayBitSemantics) {
   const AssignmentSet assignments =
       enumerate_assignments(g.net, partition, 2, {});
   const SideProblem side = make_side_problem(g.net, demand, partition, true);
-  const std::vector<Mask> array = build_side_array(side, assignments, 2);
+  const std::vector<Mask> array =
+      config_form(build_side_array(side, assignments, 2));
   ASSERT_EQ(array.size(), Mask{1} << 5);  // 2^|E_s| elements
   for (Mask config = 0; config < (Mask{1} << 5); ++config) {
     // Each element uses only |D| bits.
@@ -169,7 +170,8 @@ TEST(PaperExamples, Fig5ConfigurationsRealizeTheThreeStatedSets) {
   const AssignmentSet assignments =
       enumerate_assignments(g.net, partition, 2, {});
   const SideProblem side = make_side_problem(g.net, demand, partition, true);
-  const std::vector<Mask> array = build_side_array(side, assignments, 2);
+  const std::vector<Mask> array =
+      config_form(build_side_array(side, assignments, 2));
   const Fig5Configs configs = fig5_source_side_configs();
 
   auto realized_set = [&](Mask config) {
@@ -272,10 +274,10 @@ TEST(PaperExamples, Equations2And3BottleneckSum) {
       enumerate_assignments(g.net, partition, 2, {});
   const SideProblem ss = make_side_problem(g.net, demand, partition, true);
   const SideProblem st = make_side_problem(g.net, demand, partition, false);
-  const MaskDistribution ds = bucket_side_array(
-      ss, slab_form(build_side_array(ss, assignments, 2), ss.view.num_edges()));
-  const MaskDistribution dt = bucket_side_array(
-      st, slab_form(build_side_array(st, assignments, 2), st.view.num_edges()));
+  const MaskDistribution ds =
+      bucket_side_array(ss, build_side_array(ss, assignments, 2));
+  const MaskDistribution dt =
+      bucket_side_array(st, build_side_array(st, assignments, 2));
 
   double by_hand = 0.0;
   for (Mask alive = 0; alive < 4; ++alive) {

@@ -286,7 +286,7 @@ TEST(Server, MaskBytesGaugeCountsIndexColumnsAndPalettes) {
   for (const SlabMaskTable* table : {&artifacts.array_s, &artifacts.array_t}) {
     ASSERT_EQ(table->num_links, 16);
     ASSERT_LE(table->palette.size(), 256u);
-    EXPECT_EQ(table->index.index(), 0u);  // one byte per rank
+    EXPECT_EQ(table->index.index(), 0u);  // one byte per configuration
     expected += 65'536 + sizeof(Mask) * table->palette.size();
   }
   EXPECT_EQ(session.cached_mask_bytes(), expected);

@@ -67,7 +67,7 @@ TEST(SideArray, Fig5ConfigurationsRealizeTheStatedSets) {
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
   const std::vector<Mask> array =
-      build_side_array(side, fx.assignments, fx.demand.rate);
+      config_form(build_side_array(side, fx.assignments, fx.demand.rate));
   const Fig5Configs configs = fig5_source_side_configs();
   // Assignment bit order: 0 = (0,2), 1 = (1,1), 2 = (2,0).
   EXPECT_EQ(array[static_cast<std::size_t>(configs.a)], mask_of({0, 1}))
@@ -83,7 +83,7 @@ TEST(SideArray, EmptyConfigurationRealizesNothing) {
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
   const std::vector<Mask> array =
-      build_side_array(side, fx.assignments, fx.demand.rate);
+      config_form(build_side_array(side, fx.assignments, fx.demand.rate));
   EXPECT_EQ(array[0], 0u);
 }
 
@@ -92,7 +92,7 @@ TEST(SideArray, SinkSideArrayFullConfigRealizesAll) {
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, false);
   const std::vector<Mask> array =
-      build_side_array(side, fx.assignments, fx.demand.rate);
+      config_form(build_side_array(side, fx.assignments, fx.demand.rate));
   ASSERT_EQ(array.size(), 4u);            // 2 sink-side links
   EXPECT_EQ(array[0b11], mask_of({0, 1, 2}));
   // Only y1-t alive: (2,0) sends both units through y1.
@@ -112,7 +112,8 @@ TEST(SideArray, MaxflowCallCounterAdvances) {
   // |D| * 2^{|E_s|} exactly, the paper's count.
   EXPECT_EQ(oracle_calls, 3u * 32u);
   SideArrayStats stats;
-  EXPECT_EQ(build_side_array(side, fx.assignments, fx.demand.rate, &stats),
+  EXPECT_EQ(config_form(build_side_array(side, fx.assignments,
+                                         fx.demand.rate, &stats)),
             oracle);
   EXPECT_GT(stats.maxflow_calls(), 0u);
   EXPECT_LT(stats.maxflow_calls(), oracle_calls);
@@ -123,7 +124,7 @@ TEST(BucketDistribution, SumsToOneAndMatchesArray) {
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
   const std::vector<Mask> array =
-      build_side_array(side, fx.assignments, fx.demand.rate);
+      config_form(build_side_array(side, fx.assignments, fx.demand.rate));
   const MaskDistribution dist =
       bucket_side_array(side, slab_form(array, side.view.num_edges()));
   EXPECT_NEAR(dist.total, 1.0, 1e-12);
@@ -187,7 +188,8 @@ void expect_side_matches_oracle(const SideProblem& side,
   const std::vector<Mask> want =
       testing::oracle_side_array(side, set, d, &oracle_calls);
   SideArrayStats stats;
-  const std::vector<Mask> got = build_side_array(side, set, d, &stats);
+  const std::vector<Mask> got =
+      config_form(build_side_array(side, set, d, &stats));
   ASSERT_EQ(got, want) << where;
   EXPECT_LE(stats.maxflow_calls(), oracle_calls) << where;
   const std::uint64_t decisions = static_cast<std::uint64_t>(want.size()) *
@@ -442,10 +444,10 @@ TEST(SideArrayOracle, OneThreadMatchesDefaultThreads) {
             g.net, {g.source, g.sink, d}, partition, source_side);
         SideArrayStats serial_stats;
         SideArrayStats pooled_stats;
-        const std::vector<Mask> serial =
-            build_side_array(side, *set, d, &serial_stats, &one_thread);
+        const std::vector<Mask> serial = config_form(
+            build_side_array(side, *set, d, &serial_stats, &one_thread));
         const std::vector<Mask> pooled =
-            build_side_array(side, *set, d, &pooled_stats);
+            config_form(build_side_array(side, *set, d, &pooled_stats));
         const std::string where = "instance " + std::to_string(i) +
                                   (source_side ? " side s" : " side t");
         ASSERT_EQ(serial, pooled) << where;
@@ -478,7 +480,8 @@ void expect_queries_within_twice_the_boundary(const SideProblem& side,
                                               const std::string& where) {
   const std::vector<Mask> want = testing::oracle_side_array(side, set, d);
   SideArrayStats stats;
-  ASSERT_EQ(build_side_array(side, set, d, &stats), want) << where;
+  ASSERT_EQ(config_form(build_side_array(side, set, d, &stats)), want)
+      << where;
   const std::uint64_t boundary = testing::side_array_boundary(
       want, side.view.num_edges(), set.size());
   EXPECT_LE(stats.scalar_residue(), 2 * boundary) << where;
@@ -626,8 +629,8 @@ TEST(SideArrayStop, ProgressReachesTheTotal) {
   std::ostringstream out;
   ExecContext ctx;
   ctx.progress = std::make_shared<ProgressReporter>(&out);
-  const std::vector<Mask> array =
-      build_side_array(e26.side, e26.assignments, 2, nullptr, &ctx);
+  const std::vector<Mask> array = config_form(
+      build_side_array(e26.side, e26.assignments, 2, nullptr, &ctx));
   EXPECT_EQ(ctx.progress->total(), std::uint64_t{1} << 20);
   EXPECT_EQ(ctx.progress->visited(), ctx.progress->total());
   EXPECT_EQ(array.size(), std::size_t{1} << 20);

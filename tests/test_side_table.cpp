@@ -1,36 +1,28 @@
-// The rank-ordered resting form of a side array: gray_rank, slab/config
-// form roundtrips, the slab builder against the vector builder, and the
-// fold pinned bitwise to its definition across index widths and
-// probability extremes. The sweep's
-// arrays are checked against the paper's procedure in test_side_array.
+// A side array's resting form and its fold: slab/config form roundtrips
+// and palette order, the fold pinned bitwise to its definition across
+// index widths and probability extremes, and the fold against a direct
+// per-configuration reference and with perfect (p = 0) links. The
+// sweep's arrays are checked against the paper's procedure in
+// test_side_array.
 
-#include "streamrel/core/bit_slabs.hpp"
+#include "streamrel/core/side_array.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "streamrel/core/side_array.hpp"
 #include "streamrel/graph/generators.hpp"
+#include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/prng.hpp"
 #include "streamrel/util/stats.hpp"
 
 namespace streamrel {
 namespace {
-
-TEST(GrayRank, InvertsGrayCodeAcrossTheMaskRange) {
-  for (Mask i = 0; i < 4096; ++i) {
-    EXPECT_EQ(gray_rank(gray_code(i)), i);
-    EXPECT_EQ(gray_code(gray_rank(i)), i);
-  }
-  for (const Mask i : {Mask{1} << 20, (Mask{1} << 40) + 12345,
-                       (Mask{1} << 62) + 987654321, ~Mask{0} >> 1}) {
-    EXPECT_EQ(gray_rank(gray_code(i)), i);
-  }
-}
 
 TEST(SlabMaskTable, RoundTripsWithTheConfigIndexedForm) {
   Xoshiro256 rng(20260808);
@@ -41,27 +33,28 @@ TEST(SlabMaskTable, RoundTripsWithTheConfigIndexedForm) {
   const SlabMaskTable table = slab_form(array, links);
   EXPECT_EQ(table.num_links, links);
   EXPECT_EQ(config_form(table), array);
-  for (Mask config = 0; config < (Mask{1} << links); ++config) {
-    EXPECT_EQ(table.at_config(config),
-              array[static_cast<std::size_t>(config)]);
+  // The palette lists the distinct masks in first-seen configuration
+  // order.
+  std::vector<Mask> first_seen;
+  for (const Mask m : array) {
+    if (std::find(first_seen.begin(), first_seen.end(), m) ==
+        first_seen.end()) {
+      first_seen.push_back(m);
+    }
   }
-  for (Mask rank = 0; rank < (Mask{1} << links); ++rank) {
-    EXPECT_EQ(table.at_rank(rank),
-              array[static_cast<std::size_t>(gray_code(rank))]);
-  }
+  EXPECT_EQ(table.palette, first_seen);
   EXPECT_THROW(slab_form(array, links + 1), std::invalid_argument);
 }
 
 // The fold's definition, written out: each configuration's probability
 // is the product of its edge factors (alive ? 1 - p : p) in ascending
-// edge order from 1.0; per-bucket += and a KahanSum total, both in Gray
-// rank order; buckets sorted by mask.
+// edge order from 1.0; per-bucket += and a KahanSum total, both over
+// configurations 0..2^m-1; buckets sorted by mask.
 MaskDistribution reference_fold(const std::vector<Mask>& array, int m,
                                 const std::vector<double>& probs) {
   std::map<Mask, double> sums;
   KahanSum total;
-  for (Mask rank = 0; rank < static_cast<Mask>(array.size()); ++rank) {
-    const Mask config = gray_code(rank);
+  for (Mask config = 0; config < static_cast<Mask>(array.size()); ++config) {
     double p = 1.0;
     for (int e = 0; e < m; ++e) {
       const double q = probs[static_cast<std::size_t>(e)];
@@ -114,13 +107,12 @@ TEST(FoldPin, BitwiseEqualToTheDefinitionalFold) {
     for (const std::size_t palette :
          {std::size_t{1}, std::size_t{256}, std::size_t{257}}) {
       // Distinct masks (an odd multiplier is a bijection mod 2^62); the
-      // first ranks see every palette entry, so the table holds exactly
-      // min(palette, 2^m) of them.
+      // first configurations see every palette entry, so the table holds
+      // exactly min(palette, 2^m) of them.
       std::vector<Mask> array(n);
       for (std::size_t c = 0; c < n; ++c) {
         const Mask slot = c < palette ? c : rng.uniform_below(palette);
-        array[static_cast<std::size_t>(gray_code(c))] =
-            (slot * 0x9e3779b97f4a7c15ULL) & ((Mask{1} << 62) - 1);
+        array[c] = (slot * 0x9e3779b97f4a7c15ULL) & ((Mask{1} << 62) - 1);
       }
       const SlabMaskTable table = slab_form(array, m);
       ASSERT_EQ(table.palette.size(), std::min(palette, n));
@@ -147,40 +139,61 @@ TEST(FoldPin, BitwiseEqualToTheDefinitionalFold) {
   expect_bitwise_fold(array, m, probs, "m=17 random masks");
 }
 
-TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
-  Xoshiro256 rng(99);
-  ClusteredParams params;
-  params.nodes_s = 5;
-  params.extra_edges_s = 2;
-  params.nodes_t = 4;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  params.bottleneck_caps = {1, 3};
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const Capacity d = 2;
-  const AssignmentSet forward = enumerate_assignments(
-      g.net, partition, d, {AssignmentMode::kForwardOnly});
-  ASSERT_GT(forward.size(), 0);
+TEST(BucketDistributionStreamed, MatchesDirectFold) {
+  Xoshiro256 rng(4242);
+  for (int trial = 0; trial < 10; ++trial) {
+    ClusteredParams params;
+    params.nodes_s = 4 + static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_s = 1 + static_cast<int>(rng.uniform_below(3));
+    params.bottleneck_links = 2;
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const AssignmentSet assignments =
+        enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
+    if (assignments.size() == 0) continue;
+    const SideProblem side =
+        make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
+    const SlabMaskTable table = build_side_array(side, assignments, 2);
+    const std::vector<Mask> array = config_form(table);
 
-  for (const bool source_side : {true, false}) {
-    const SideProblem side = make_side_problem(
-        g.net, {g.source, g.sink, d}, partition, source_side);
-    SideArrayStats vec_stats;
-    const std::vector<Mask> array =
-        build_side_array(side, forward, d, &vec_stats);
-    SideArrayStats slab_stats;
-    const SlabMaskTable table =
-        build_side_array_slab(side, forward, d, &slab_stats);
-    EXPECT_EQ(config_form(table), array);
-    EXPECT_EQ(vec_stats.certificate_misses(), 0u);
-    EXPECT_EQ(table.num_links, side.view.num_edges());
-    // Same sweep underneath: the counters agree exactly.
-    EXPECT_TRUE(
-        vec_stats.telemetry.counters_equal(slab_stats.telemetry));
-    EXPECT_EQ(slab_form(array, side.view.num_edges()), table);
+    const MaskDistribution dist = bucket_side_array(side, table);
+    // Reference fold: direct per-configuration products, numeric order.
+    const std::vector<double> probs = side.view.failure_probs();
+    std::unordered_map<Mask, double> reference;
+    for (Mask config = 0; config < static_cast<Mask>(array.size());
+         ++config) {
+      reference[array[static_cast<std::size_t>(config)]] +=
+          config_probability(probs, config);
+    }
+    ASSERT_EQ(dist.buckets.size(), reference.size()) << "trial " << trial;
+    for (const auto& [mask, p] : dist.buckets) {
+      ASSERT_TRUE(reference.count(mask));
+      EXPECT_NEAR(p, reference[mask], 1e-12) << "trial " << trial;
+    }
+    EXPECT_NEAR(dist.total, 1.0, 1e-12);
   }
+}
+
+TEST(BucketDistributionStreamed, HandlesZeroFailureProbabilities) {
+  // Perfect links make dead-configurations probability 0; the streamed
+  // ratio update must not divide by zero.
+  FlowNetwork net(3);
+  net.add_undirected_edge(0, 1, 2, 0.0);  // perfect link
+  net.add_undirected_edge(1, 2, 2, 0.25);
+  net.add_undirected_edge(0, 1, 1, 0.0);  // second perfect link
+  net.add_undirected_edge(1, 2, 1, 0.5);
+  const BottleneckPartition partition =
+      partition_from_sides(net, 0, 2, {true, true, false});
+  const FlowDemand demand{0, 2, 1};
+  const AssignmentSet assignments =
+      enumerate_assignments(net, partition, 1, {AssignmentMode::kAuto});
+  ASSERT_GT(assignments.size(), 0);
+  const SideProblem side = make_side_problem(net, demand, partition, true);
+  const MaskDistribution dist =
+      bucket_side_array(side, build_side_array(side, assignments, 1));
+  EXPECT_NEAR(dist.total, 1.0, 1e-12);
+  for (const auto& [mask, p] : dist.buckets) EXPECT_GE(p, 0.0);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // INDEPENDENT max-flow oracle (Edmonds–Karp, a second solver next to the
 // library's Dinic), a brute-force reliability oracle built on it (coded
 // differently from src/reliability/naive.cpp on purpose), the paper's
-// one-solve-per-question side array, and float comparison tolerances.
+// one-solve-per-question side array, a copied-network oracle for
+// NetworkView, and float comparison tolerances.
 
 #include <cmath>
 #include <cstdint>
@@ -231,6 +232,64 @@ inline std::vector<std::vector<EdgeId>> exhaustive_minimal_cutsets(
       if (reference_is_minimal_cutset(net, s, t, cut)) {
         out.push_back(std::move(cut));
       }
+    }
+  }
+  return out;
+}
+
+/// Copied-network oracle for NetworkView: the subnetwork induced by the
+/// nodes with `in_side[n]`, materialized as its own FlowNetwork (edges
+/// with both endpoints inside, attributes kept), numbered densely in
+/// original id order, with the id maps both ways.
+struct CopiedSide {
+  FlowNetwork net;
+  std::vector<NodeId> node_map;     ///< copy node id -> original node id
+  std::vector<EdgeId> edge_map;     ///< copy edge id -> original edge id
+  std::vector<NodeId> node_to_sub;  ///< original node -> copy or kInvalidNode
+  std::vector<EdgeId> edge_to_sub;  ///< original edge -> copy or kInvalidEdge
+};
+
+inline CopiedSide copy_side(const FlowNetwork& net,
+                            const std::vector<bool>& in_side) {
+  CopiedSide sub;
+  sub.node_to_sub.assign(in_side.size(), kInvalidNode);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    if (in_side[static_cast<std::size_t>(n)]) {
+      sub.node_to_sub[static_cast<std::size_t>(n)] = sub.net.add_node();
+      sub.node_map.push_back(n);
+    }
+  }
+  sub.edge_to_sub.assign(static_cast<std::size_t>(net.num_edges()),
+                         kInvalidEdge);
+  for (EdgeId id = 0; id < net.num_edges(); ++id) {
+    const Edge& e = net.edge(id);
+    const NodeId su = sub.node_to_sub[static_cast<std::size_t>(e.u)];
+    const NodeId sv = sub.node_to_sub[static_cast<std::size_t>(e.v)];
+    if (su == kInvalidNode || sv == kInvalidNode) continue;
+    sub.edge_to_sub[static_cast<std::size_t>(id)] =
+        sub.net.add_edge(su, sv, e.capacity, e.failure_prob, e.kind);
+    sub.edge_map.push_back(id);
+  }
+  return sub;
+}
+
+/// An alive mask over the original edges, in the copy's numbering.
+inline Mask copied_project_mask(const CopiedSide& sub, Mask original_alive) {
+  Mask out = 0;
+  for (std::size_t sid = 0; sid < sub.edge_map.size(); ++sid) {
+    if (test_bit(original_alive, sub.edge_map[sid])) {
+      out |= bit(static_cast<int>(sid));
+    }
+  }
+  return out;
+}
+
+/// An alive mask over the copy's edges, in the original numbering.
+inline Mask copied_lift_mask(const CopiedSide& sub, Mask sub_alive) {
+  Mask out = 0;
+  for (std::size_t sid = 0; sid < sub.edge_map.size(); ++sid) {
+    if (test_bit(sub_alive, static_cast<int>(sid))) {
+      out |= bit(sub.edge_map[sid]);
     }
   }
   return out;

@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 10, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 11, "stale public surface");
 
 namespace {
 
@@ -24,8 +24,9 @@ namespace {
     streamrel::ResidualGraph&, streamrel::NodeId, streamrel::NodeId,
     streamrel::Capacity) = &streamrel::DinicSolver::solve;
 
-// The one side-array sweep (API v8) takes no options.
-[[maybe_unused]] std::vector<streamrel::Mask> (*const kSideArray)(
+// The one side-array sweep (API v8) takes no options and returns the
+// configuration-ordered table (API v11).
+[[maybe_unused]] streamrel::SlabMaskTable (*const kSideArray)(
     const streamrel::SideProblem&, const streamrel::AssignmentSet&,
     streamrel::Capacity, streamrel::SideArrayStats*,
     const streamrel::ExecContext*) = &streamrel::build_side_array;
