@@ -11,6 +11,11 @@
 // reliability equals the one folded from the oracle's arrays, and exits
 // nonzero unless that reliability lies strictly between 0 and 1 (at 0
 // or 1 the cross-check compares constants and tests nothing).
+// It then patches the side's table for every single-link +-1 capacity
+// edit (build_side_array with a SidePrior) and reports the patches'
+// queries over the full sweeps' of the same edited sides,
+// patch_queries_ratio, with the patched tables checked bitwise against
+// the full ones (patch_identical; exit nonzero on a mismatch).
 // With --json=FILE the results are also written as a schema-versioned
 // bench_harness record for CI trend tracking.
 //
@@ -27,6 +32,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -230,6 +236,46 @@ int main(int argc, char** argv) {
             << " zero-copy builds" << (zero_copy ? " (ok)" : " (NONE)")
             << "\n";
 
+  // Capacity patches: every single-link +-1 edit of the side, patched
+  // from the unedited table, against a full sweep of the edited side.
+  std::uint64_t patch_queries = 0;
+  std::uint64_t full_queries = 0;
+  int patch_edits = 0;
+  bool patch_identical = true;
+  for (EdgeId v = 0; v < side.view.num_edges(); ++v) {
+    const EdgeId e = side.view.original_edge(v);
+    const Capacity old = g.net.edge(e).capacity;
+    for (const Capacity c : {old + 1, old - 1}) {
+      if (c < 0) continue;
+      FlowNetwork edited = g.net;
+      edited.set_capacity(e, c);
+      const SideProblem after =
+          make_side_problem(edited, demand, partition, true);
+      const std::optional<SidePrior> prior =
+          side_prior(side, sweep_table, after);
+      SideArrayStats patch_stats;
+      SideArrayStats full_stats;
+      const SlabMaskTable patched =
+          build_side_array(after, forward, d, &patch_stats, &ctx,
+                           prior ? &*prior : nullptr);
+      const SlabMaskTable full =
+          build_side_array(after, forward, d, &full_stats, &ctx);
+      patch_identical = patch_identical && prior && patched == full;
+      patch_queries += patch_stats.maxflow_calls();
+      full_queries += full_stats.maxflow_calls();
+      ++patch_edits;
+    }
+  }
+  const double patch_ratio =
+      full_queries > 0 ? static_cast<double>(patch_queries) /
+                             static_cast<double>(full_queries)
+                       : 0.0;
+  std::cout << "capacity patches: " << patch_edits
+            << " single-link +-1 edits, " << patch_queries
+            << " patched vs " << full_queries
+            << " full-sweep queries (ratio " << patch_ratio << ")"
+            << (patch_identical ? " (identical)" : " (MISMATCH)") << "\n";
+
   // Metric keys keep the per_assignment. prefix of earlier records, so
   // bench_compare still diffs the sweep's wall time across commits.
   bench::BenchReport report("side_array_sweep");
@@ -257,9 +303,14 @@ int main(int argc, char** argv) {
                   static_cast<double>(stats.maxflow_calls()))
       .metric("per_assignment.identical", identical)
       .metric("boundary_size", boundary)
-      .metric("queries_per_boundary", queries_per_boundary);
+      .metric("queries_per_boundary", queries_per_boundary)
+      .metric("patch_edits", static_cast<std::int64_t>(patch_edits))
+      .metric("patch_queries_ratio", patch_ratio)
+      .metric("patch_identical", patch_identical);
   const bool json_ok = bench::write_if_requested(report, args);
 
-  return json_ok && identical && delta == 0.0 && r_interior && zero_copy ? 0
-                                                                         : 1;
+  return json_ok && identical && delta == 0.0 && r_interior && zero_copy &&
+                 patch_identical
+             ? 0
+             : 1;
 }

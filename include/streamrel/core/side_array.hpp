@@ -37,6 +37,7 @@
 // stride.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -150,8 +151,41 @@ SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
                         int num_links);
 std::vector<Mask> config_form(const SlabMaskTable& table);
 
+/// An earlier table of the same side (same topology, same assignment
+/// set) and the view links whose capacity changed since it was built:
+/// `raised` (U) went up, `lowered` (W) went down, to zero included.
+struct SidePrior {
+  const SlabMaskTable* table = nullptr;
+  Mask raised = 0;
+  Mask lowered = 0;
+
+  /// No capacity changed: the table is the answer as it stands.
+  bool unchanged() const noexcept { return (raised | lowered) == 0; }
+};
+
+/// The prior `table` of side `before` as seen from side `after`: U and W
+/// from comparing the two views' capacities link by link. std::nullopt
+/// when the two do not describe the same side (different links, anchor
+/// or endpoints) or the table does not fit it.
+std::optional<SidePrior> side_prior(const SideProblem& before,
+                                    const SlabMaskTable& table,
+                                    const SideProblem& after);
+
 /// The paper's array: configuration c's entry is the mask of assignments
-/// c realizes, for all 2^|side edges| configurations.
+/// c realizes, for all 2^|side edges| configurations. The table is
+/// assembled straight from the per-assignment columns, with the palette
+/// and index width slab_form would give.
+///
+/// With a `prior`, the build patches that table instead of sweeping from
+/// nothing. Feasibility is monotone in capacity as well as in the alive
+/// set: a configuration in which no lowered link (W) is alive keeps its
+/// old YES, one in which no raised link (U) is alive keeps its old NO.
+/// So before any query each assignment's column is seeded with
+///   YES = {c : c \ W ∈ old YES}  (old YES ∩ {c : c ∩ W = ∅}, closed
+///                                 upward, as YES is an up-set),
+///   NO  = old NO ∩ {c : c ∩ U = ∅},
+/// and only what the seeds leave open is queried. The table equals a
+/// build without the prior; the counters count the patch's own queries.
 ///
 /// On arrays of 1024 or more configurations the assignments are swept
 /// in parallel under OpenMP, one task each. A column depends on its
@@ -165,7 +199,8 @@ SlabMaskTable build_side_array(const SideProblem& side,
                                const AssignmentSet& assignments,
                                Capacity demand_rate,
                                SideArrayStats* stats = nullptr,
-                               const ExecContext* ctx = nullptr);
+                               const ExecContext* ctx = nullptr,
+                               const SidePrior* prior = nullptr);
 
 /// A side array folded into a sparse probability distribution over
 /// realized-assignment masks: bucket (m, P{configurations realizing

@@ -13,8 +13,6 @@
 //     so small ratios just measure noise);
 //   * boolean metrics: fail on any true -> false flip (these encode
 //     invariants like "identical": bitwise-equal side arrays);
-//   * keys under "trace." (span counters guarding the zero-copy side
-//     views): fail on any increase of a "*copies" counter above zero;
 //   * keys ending in "_coverage" (fractions of work answered by a fast
 //     path, e.g. the side sweep's closure-decided share) and keys ending
 //     in "_survival_rate" (fraction of cached artifacts a churn replay
@@ -63,10 +61,6 @@ struct BenchRecord {
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
 }
 
 struct Gate {
@@ -189,14 +183,6 @@ int main(int argc, char** argv) {
                   << (before > 0.0 ? (after / before - 1.0) * 100.0
                                    : std::numeric_limits<double>::infinity())
                   << "%)\n";
-        ++regressions;
-      }
-      continue;
-    }
-    if (starts_with(key, "trace.") && ends_with(key, "copies")) {
-      if (after > before && after > 0.0) {
-        std::cout << "  ! " << key << ": " << before << " -> " << after
-                  << " (zero-copy guarantee lost)\n";
         ++regressions;
       }
       continue;

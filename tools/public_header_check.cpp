@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 11, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 12, "stale public surface");
 
 namespace {
 
@@ -24,12 +24,14 @@ namespace {
     streamrel::ResidualGraph&, streamrel::NodeId, streamrel::NodeId,
     streamrel::Capacity) = &streamrel::DinicSolver::solve;
 
-// The one side-array sweep (API v8) takes no options and returns the
-// configuration-ordered table (API v11).
+// The one side-array sweep (API v8) takes no options, returns the
+// configuration-ordered table (API v11) and patches an optional prior
+// table (API v12).
 [[maybe_unused]] streamrel::SlabMaskTable (*const kSideArray)(
     const streamrel::SideProblem&, const streamrel::AssignmentSet&,
     streamrel::Capacity, streamrel::SideArrayStats*,
-    const streamrel::ExecContext*) = &streamrel::build_side_array;
+    const streamrel::ExecContext*,
+    const streamrel::SidePrior*) = &streamrel::build_side_array;
 
 // The wire schema (API v5) must be reachable from the installed tree.
 [[maybe_unused]] streamrel::WireRequest (*const kParseWire)(
