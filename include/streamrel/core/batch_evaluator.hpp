@@ -50,11 +50,9 @@ struct BatchOptions {
   /// Wall-clock budget for the whole batch in ms (0 = none). On expiry
   /// the remaining queries return kDeadlineExpired with bounds.
   double deadline_ms = 0.0;
-  /// Thread cap for the accumulation phase (0 = library default).
+  /// Thread cap for the accumulation phase (0 = library default; 1 runs
+  /// the batch fully serially, with bitwise-identical results).
   int max_threads = 0;
-  /// Run phase 2 across threads; disable to force fully serial batches
-  /// (results are bitwise-identical either way).
-  bool parallel_accumulate = true;
   /// Optional progress/ETA sink, shared by every query's ExecContext (see
   /// ExecContext::progress). Null costs nothing.
   std::shared_ptr<ProgressReporter> progress;
@@ -64,8 +62,9 @@ struct BatchReport {
   /// One report per query, in query order.
   std::vector<SolveReport> reports;
   /// Batch counters (queries, fallback_solves) at the root plus every
-  /// query's solve telemetry merged in query order — deterministic across
-  /// thread counts given the query sequence.
+  /// query's solve telemetry merged in query order, so a structure built
+  /// for the batch is counted once, by the query that built it —
+  /// deterministic across thread counts given the query sequence.
   Telemetry telemetry;
   /// Number of reports with status kExact.
   int exact_count = 0;

@@ -85,8 +85,10 @@ struct BottleneckArtifacts {
   /// config_form() materializes the paper's array[config] view.
   SlabMaskTable array_s;
   SlabMaskTable array_t;
-  /// Construction-cost counters, laid out exactly as BottleneckResult
-  /// reports them (root totals, "side_s"/"side_t" children).
+  /// What THIS build did, laid out exactly as BottleneckResult reports
+  /// it (root totals, "side_s"/"side_t" children): an adopted side adds
+  /// no counters, only a `side_repairs`. Reported once, by the solve that
+  /// ran the build; QuerySession caches the artifacts without it.
   Telemetry telemetry;
   PartitionStats partition_stats;
   /// Non-exact when a context stop interrupted the side sweeps
@@ -101,13 +103,13 @@ struct BottleneckArtifacts {
 /// One side of a previously built decomposition, offered to the next
 /// build of the same (partition, d, assignment options): the side
 /// problem, which pins the snapshot it was built against so its
-/// capacities stay readable, its mask table and its construction-counter
-/// subtree. Side arrays depend on nothing but the side's topology, its
-/// capacities and the assignment set (§III-C), so with the same
-/// topology and assignment set the build compares the old capacities
-/// with the new ones link by link (side_prior):
-///   * none changed — the table is ADOPTED verbatim (a salvage), with its
-///     original counters, and the side is not swept at all;
+/// capacities stay readable, and its mask table. Side arrays depend on
+/// nothing but the side's topology, its capacities and the assignment
+/// set (§III-C), so with the same topology and assignment set the build
+/// compares the old capacities with the new ones link by link
+/// (side_prior):
+///   * none changed — the table is ADOPTED verbatim (a salvage) and the
+///     side is not swept at all: it reports zero queries;
 ///   * some changed — the table seeds a PATCHED build_side_array, which
 ///     queries only the configurations the capacity changes can flip;
 ///     the side's counters are the patch's own.
@@ -118,7 +120,6 @@ struct BottleneckArtifacts {
 struct SideReuse {
   SideProblem side;
   SlabMaskTable array;
-  Telemetry telemetry;  ///< the side's "side_s"/"side_t" counter subtree
 };
 
 /// Builds the artifacts (the exponential part of the algorithm). Throws
@@ -162,6 +163,8 @@ BottleneckProbabilities gather_bottleneck_probabilities(
 /// arrays into per-side distributions under `probs` and accumulates over
 /// the alive-bottleneck configurations. Identical arithmetic to the
 /// matching reliability_bottleneck call, so results are bitwise equal.
+/// The result's telemetry stays empty: the build's counters belong to
+/// the solve that ran the build, not to every accumulation over it.
 /// Requires artifacts.usable().
 BottleneckResult accumulate_bottleneck(const BottleneckArtifacts& artifacts,
                                        const BottleneckProbabilities& probs,

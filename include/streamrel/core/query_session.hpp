@@ -190,10 +190,11 @@ class QuerySession {
 
   // --- observability -----------------------------------------------
 
-  /// Session-lifetime tree: query counters/timers at the root, cache
-  /// hit/miss/evict counters under the "cache" child (one grandchild per
-  /// layer), every query's solve telemetry merged in query order under
-  /// "solves". Deterministic given the query sequence.
+  /// Session-lifetime tree: query counters at the root, cache
+  /// hit/miss/evict and side reuse counters under the "cache" child (one
+  /// grandchild per layer). Engine work is not aggregated here: each
+  /// answer carries the work its own solve did (a cache hit none).
+  /// Deterministic given the query sequence.
   const Telemetry& telemetry() const noexcept { return telemetry_; }
 
   std::uint64_t cache_hits() const;        ///< total across the three layers
@@ -260,6 +261,8 @@ class QuerySession {
   /// entries alive across LRU evictions.
   struct PreparedQuery {
     std::shared_ptr<const ArtifactEntry> entry;  ///< set when ready
+    /// Counters of the build this query ran; empty on a cache hit.
+    Telemetry build_telemetry;
     std::optional<PartitionChoice> partition;
     SolveStatus stop = SolveStatus::kExact;  ///< non-exact: interrupted
     bool bottleneck_path = false;
@@ -275,12 +278,14 @@ class QuerySession {
 
   /// Layers 2+3: cached assignments + mask tables for one candidate.
   /// Returns null when the build was interrupted (status in *stop); the
-  /// unusable entry is not cached. Throws std::invalid_argument on
-  /// assignment blow-up exactly like reliability_bottleneck.
+  /// unusable entry is not cached. A usable fresh build moves its
+  /// counters into *built; a hit leaves it alone. Throws
+  /// std::invalid_argument on assignment blow-up exactly like
+  /// reliability_bottleneck.
   std::shared_ptr<const ArtifactEntry> artifact_entry(
       const FlowDemand& demand, int candidate_index,
       const PartitionChoice& choice, const SolveOptions& options,
-      const ExecContext* ctx, SolveStatus* stop);
+      const ExecContext* ctx, SolveStatus* stop, Telemetry* built);
 
   /// The structural phase: cache lookups + any cold builds. Mutates the
   /// caches; call from one thread. Throws std::invalid_argument when an

@@ -63,8 +63,8 @@ struct ReplayReport {
   /// Mean per-event survival over events that found a warm cache —
   /// the artifact reuse rate of the whole replay. 0 on the cold path.
   double artifact_survival_rate = 0.0;
-  /// Session telemetry (warm path): cache counters, per-query solve
-  /// telemetry, invalidation split.
+  /// Session telemetry (warm path): query counters, cache counters,
+  /// invalidation split.
   Telemetry telemetry;
 };
 

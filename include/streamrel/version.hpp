@@ -61,7 +61,13 @@
 /// a build adopts a reuse object's table only when its capacities are
 /// unchanged (it patches it otherwise) and counts adopted and patched
 /// sides in its telemetry.
-#define STREAMREL_API_VERSION 12
+/// v13: build work counted once — SideReuse::telemetry and
+/// BatchOptions::parallel_accumulate are gone (max_threads = 1 gives the
+/// serial batch); accumulate_bottleneck returns no telemetry, so an
+/// answer carries only the work its own solve did, and the session
+/// tree drops its `solves` subtree, `query_latency` histogram and
+/// `query_ms` timer.
+#define STREAMREL_API_VERSION 13
 
 namespace streamrel {
 

@@ -93,8 +93,8 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
     TraceSpan phase_span("batch_accumulate", "batch");
     phase_span.arg("ready", static_cast<std::uint64_t>(ready.size()));
 #ifdef _OPENMP
-    if (options.parallel_accumulate && ready.size() > 1) {
-      const int threads = batch_ctx.resolved_threads();
+    const int threads = batch_ctx.resolved_threads();
+    if (threads > 1 && ready.size() > 1) {
       const auto n = static_cast<std::int64_t>(ready.size());
 #pragma omp parallel for num_threads(threads) schedule(dynamic)
       for (std::int64_t j = 0; j < n; ++j) {
@@ -142,7 +142,6 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
       batch.telemetry.merge_parallel(slot.ctx.telemetry);
     }
     batch.telemetry.histogram("query_latency").record_ms(slot.latency_ms);
-    session_->telemetry_.child("solves").merge(report.result.telemetry);
   }
   return batch;
 }

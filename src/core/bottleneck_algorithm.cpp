@@ -61,8 +61,8 @@ BottleneckArtifacts build_bottleneck_artifacts(
     // Side arrays (paper §III-C): the exponential, probability-free part.
     // Both side problems are zero-copy views pinning one shared snapshot.
     // An offered earlier side whose capacities all match is adopted with
-    // the counters of the sweep that built it; one whose capacities moved
-    // seeds a patched sweep; any other side is swept from scratch.
+    // no sweep and no counters; one whose capacities moved seeds a
+    // patched sweep; any other side is swept from scratch.
     if (!snapshot) snapshot = net.compile();
     artifacts.side_s =
         make_side_problem(snapshot, demand, partition, /*source_side=*/true);
@@ -101,14 +101,8 @@ BottleneckArtifacts build_bottleneck_artifacts(
     }
     // Adopted tables move only after every sweep has finished, so a
     // stopped build leaves the reuse objects intact.
-    if (adopt_s) {
-      artifacts.array_s = std::move(reuse_s->array);
-      side_tel_s = std::move(reuse_s->telemetry);
-    }
-    if (adopt_t) {
-      artifacts.array_t = std::move(reuse_t->array);
-      side_tel_t = std::move(reuse_t->telemetry);
-    }
+    if (adopt_s) artifacts.array_s = std::move(reuse_s->array);
+    if (adopt_t) artifacts.array_t = std::move(reuse_t->array);
     artifacts.telemetry.merge(side_tel_s);
     artifacts.telemetry.merge(side_tel_t);
     artifacts.telemetry.child("side_s").merge(side_tel_s);
@@ -168,7 +162,6 @@ BottleneckResult accumulate_bottleneck(const BottleneckArtifacts& artifacts,
   result.partition_stats = artifacts.partition_stats;
   result.mode_used = artifacts.mode_used;
   result.num_assignments = artifacts.assignments.size();
-  result.telemetry = artifacts.telemetry;
   if (artifacts.assignments.size() == 0) return result;
 
   try {
@@ -221,21 +214,24 @@ BottleneckResult reliability_bottleneck(
     const FlowNetwork& net, const FlowDemand& demand,
     const BottleneckPartition& partition, const BottleneckOptions& options,
     const ExecContext* ctx, std::shared_ptr<const CompiledNetwork> snapshot) {
-  const BottleneckArtifacts artifacts =
+  BottleneckArtifacts artifacts =
       build_bottleneck_artifacts(net, demand, partition, options, ctx,
                                  nullptr, std::move(snapshot));
-  if (!artifacts.usable()) {
-    BottleneckResult result;
+  BottleneckResult result;
+  if (artifacts.usable()) {
+    result = accumulate_bottleneck(
+        artifacts, gather_bottleneck_probabilities(net, partition, artifacts),
+        options.accumulation, ctx);
+  } else {
     result.partition_stats = artifacts.partition_stats;
     result.mode_used = artifacts.mode_used;
     result.num_assignments = artifacts.assignments.size();
-    result.telemetry = artifacts.telemetry;
     result.status = artifacts.status;
-    return result;
   }
-  return accumulate_bottleneck(
-      artifacts, gather_bottleneck_probabilities(net, partition, artifacts),
-      options.accumulation, ctx);
+  // The accumulation counts nothing: the answer's counters are the
+  // build's.
+  result.telemetry = std::move(artifacts.telemetry);
+  return result;
 }
 
 ThroughputDistribution throughput_bottleneck(

@@ -1,7 +1,6 @@
 #include "streamrel/core/query_session.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -306,22 +305,9 @@ void QuerySession::invalidate_capacity_scoped(std::span<const EdgeId> touched,
       // untouched side is adopted verbatim, a touched one patched from
       // its old table (its side problem pins the old capacities). The
       // entry counts as partial when one side survives verbatim.
-      const auto keep = [&](const SideProblem& side,
-                            const SlabMaskTable& array, const char* child) {
-        SideReuse reuse;
-        reuse.side = side;
-        reuse.array = array;
-        if (const Telemetry* side_tel =
-                entry.artifacts.telemetry.find_child(child)) {
-          reuse.telemetry = *side_tel;
-        }
-        return reuse;
-      };
       kept.emplace_back(
-          key, KeptSides{keep(entry.artifacts.side_s, entry.artifacts.array_s,
-                              "side_s"),
-                         keep(entry.artifacts.side_t, entry.artifacts.array_t,
-                              "side_t"),
+          key, KeptSides{{entry.artifacts.side_s, entry.artifacts.array_s},
+                         {entry.artifacts.side_t, entry.artifacts.array_t},
                          entry.choice.partition.crossing_edges});
       (in_s != in_t ? out.entries_partial : out.entries_full) += 1;
     }
@@ -512,7 +498,7 @@ const QuerySession::PartitionEntry& QuerySession::partition_candidates(
 std::shared_ptr<const QuerySession::ArtifactEntry> QuerySession::artifact_entry(
     const FlowDemand& demand, int candidate_index,
     const PartitionChoice& choice, const SolveOptions& options,
-    const ExecContext* ctx, SolveStatus* stop) {
+    const ExecContext* ctx, SolveStatus* stop, Telemetry* built) {
   *stop = SolveStatus::kExact;
   const ArtifactKey key{demand.source,
                         demand.sink,
@@ -590,6 +576,9 @@ std::shared_ptr<const QuerySession::ArtifactEntry> QuerySession::artifact_entry(
     *stop = entry->artifacts.status;
     return nullptr;  // interrupted builds are never cached
   }
+  // The build's counters go to the query that caused it; the cached
+  // entry keeps none, so a hit reports no build work.
+  *built = std::move(entry->artifacts.telemetry);
 
   lru_.emplace_front(key, std::move(entry));
   mask_index_[key] = lru_.begin();
@@ -640,7 +629,7 @@ QuerySession::PreparedQuery QuerySession::prepare_cached(
     std::shared_ptr<const ArtifactEntry> artifacts;
     try {
       artifacts = artifact_entry(demand, static_cast<int>(i), choice, options,
-                                 &ctx, &stop);
+                                 &ctx, &stop, &prepared.build_telemetry);
     } catch (const std::invalid_argument&) {
       continue;
     }
@@ -737,6 +726,7 @@ SolveReport QuerySession::finish_prepared(
   report.result =
       accumulate_bottleneck(prepared.entry->artifacts, probs,
                             options.bottleneck.accumulation, ctx);
+  report.result.telemetry = prepared.build_telemetry;
   return report;
 }
 
@@ -785,8 +775,6 @@ SolveReport QuerySession::solve(const FlowDemand& demand,
   }
 
   telemetry_.counter(telemetry_keys::kQueries) += 1;
-  const ScopedTimer timer(telemetry_, "query_ms");
-  const auto query_start = std::chrono::steady_clock::now();
 
   SolveReport report;
   PreparedQuery prepared;
@@ -815,11 +803,6 @@ SolveReport QuerySession::solve(const FlowDemand& demand,
     telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
     report = solve_fallback(demand, effective, overrides, *ctx);
   }
-  telemetry_.child("solves").merge(report.result.telemetry);
-  telemetry_.histogram("query_latency")
-      .record_ms(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - query_start)
-                     .count());
   return report;
 }
 

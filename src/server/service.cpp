@@ -440,7 +440,9 @@ void ReliabilityService::bridge_solve_telemetry(std::string_view engine,
                                                 const Telemetry& telemetry) {
   // Top-level counters only: the engine's own root counters are the
   // bounded, stable vocabulary (maxflow_calls, configurations, ...);
-  // child subtrees would multiply series cardinality per tenant.
+  // child subtrees would multiply series cardinality per tenant. An
+  // answer carries only the work its own solve did (a cache hit none),
+  // so each build is counted once, by the solve that ran it.
   MetricLabels labels{{"engine", std::string(engine)}, {"counter", ""}};
   for (const auto& [name, value] : telemetry.counters()) {
     labels.set("counter", name);

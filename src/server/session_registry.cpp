@@ -1,7 +1,6 @@
 #include "streamrel/server/session_registry.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "streamrel/util/telemetry.hpp"
 #include "streamrel/util/trace.hpp"
@@ -114,8 +113,6 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
     ctx = &local;
   }
 
-  const auto query_start = std::chrono::steady_clock::now();
-  SolveReport report;
   QuerySession::PreparedQuery prepared;
   SolveOptions effective = options;
   // The pending hint must be COPIED out: the member can be rewritten by
@@ -145,20 +142,11 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
       // The fallback solves against net_ (override guard mutates it):
       // stay under the writer lock for the whole solve.
       session_.telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
-      report = session_.solve_fallback(demand, effective, overrides, *ctx);
-      session_.telemetry_.child("solves").merge(report.result.telemetry);
-      session_.telemetry_.histogram("query_latency")
-          .record_ms(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - query_start)
-                         .count());
-      session_.telemetry_.timer_ms("query_ms") +=
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - query_start)
-              .count();
-      return report;
+      return session_.solve_fallback(demand, effective, overrides, *ctx);
     }
   }
 
+  SolveReport report;
   {
     // The warm path only reads the cached artifacts and the partition
     // entry — concurrent solves of the same tenant share this lock.
@@ -171,17 +159,6 @@ SolveReport TenantSession::solve(const FlowDemand& demand,
         session_.bounds_with_overrides(demand, effective.bounds, overrides);
   }
   ctx->telemetry.merge(report.result.telemetry);
-
-  {
-    const WriteSection section(*this);
-    session_.telemetry_.child("solves").merge(report.result.telemetry);
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - query_start)
-            .count();
-    session_.telemetry_.histogram("query_latency").record_ms(elapsed_ms);
-    session_.telemetry_.timer_ms("query_ms") += elapsed_ms;
-  }
   return report;
 }
 

@@ -65,13 +65,13 @@ TEST(BatchEvaluator, SerialAndParallelAccumulationAgreeBitwise) {
 
   QuerySession parallel_session(g.net);
   BatchOptions parallel_opts;
-  parallel_opts.parallel_accumulate = true;
+  parallel_opts.max_threads = 0;
   const BatchReport parallel_batch =
       BatchEvaluator(parallel_session).evaluate(queries, parallel_opts);
 
   QuerySession serial_session(g.net);
   BatchOptions serial_opts;
-  serial_opts.parallel_accumulate = false;
+  serial_opts.max_threads = 1;
   const BatchReport serial_batch =
       BatchEvaluator(serial_session).evaluate(queries, serial_opts);
 
@@ -81,6 +81,39 @@ TEST(BatchEvaluator, SerialAndParallelAccumulationAgreeBitwise) {
   }
   // Counters are deterministic across thread policies.
   EXPECT_TRUE(parallel_batch.telemetry.counters_equal(serial_batch.telemetry));
+}
+
+// Sixteen what-ifs over one cold key build its structure once: the batch
+// counts that one build's max-flow work, not one copy per answer, under
+// either thread policy.
+TEST(BatchEvaluator, OneColdKeyCountsOneBuild) {
+  const GeneratedNetwork g = test_instance();
+  const FlowDemand demand{g.source, g.sink, 2};
+  std::vector<WhatIfQuery> queries(16);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    queries[i].demand = demand;
+    queries[i].prob_overrides.push_back(ProbOverride{
+        static_cast<EdgeId>(i % 4), 0.02 * static_cast<double>(i + 1)});
+  }
+  const std::uint64_t one_build =
+      compute_reliability(g.net, demand).result.maxflow_calls();
+  ASSERT_GT(one_build, 0u);
+
+  for (const int threads : {1, 0}) {
+    QuerySession session(g.net);
+    BatchOptions options;
+    options.max_threads = threads;
+    const BatchReport batch = BatchEvaluator(session).evaluate(queries, options);
+    EXPECT_EQ(batch.exact_count, static_cast<int>(queries.size()));
+    EXPECT_EQ(batch.telemetry.counter_or(telemetry_keys::kMaxflowCalls),
+              one_build)
+        << "max_threads " << threads;
+    // Only the first query ran the build; the others were cache hits.
+    EXPECT_EQ(batch.reports[0].result.maxflow_calls(), one_build);
+    for (std::size_t i = 1; i < batch.reports.size(); ++i) {
+      EXPECT_EQ(batch.reports[i].result.maxflow_calls(), 0u) << "query " << i;
+    }
+  }
 }
 
 TEST(BatchEvaluator, ExpiredBatchDeadlineDegradesWithoutThrowing) {

@@ -326,7 +326,7 @@ TEST(SideReuse, AdoptedSideArraysAndDistributionsAreBitwise) {
 
   // Offer side_s back as a salvage: the rebuild must adopt it verbatim
   // and still produce a bitwise-identical sink side and distributions.
-  SideReuse reuse{fresh.side_s, fresh.array_s, Telemetry{}};
+  SideReuse reuse{fresh.side_s, fresh.array_s};
   const BottleneckArtifacts adopted = build_bottleneck_artifacts(
       gen.net, demand, choice->partition, {}, nullptr, nullptr, nullptr,
       &reuse, nullptr);

@@ -192,8 +192,9 @@ TEST(ExecContext, CallerContextCollectsTelemetryAcrossSolves) {
 
 TEST(ExecContext, TelemetryCountersIndependentOfThreadCount) {
   // Sides with 14 internal links each: big enough (2^14 configurations)
-  // to engage the sharded parallel sweep. The determinism contract says
-  // the counters depend on the instance, not on max_threads.
+  // that the certificate-closure sweep runs its assignments across the
+  // pool. The determinism contract says the counters depend on the
+  // instance, not on max_threads.
   Xoshiro256 rng(321);
   ClusteredParams params;
   params.nodes_s = 8;
@@ -212,8 +213,8 @@ TEST(ExecContext, TelemetryCountersIndependentOfThreadCount) {
     options.max_threads = threads;
     const SolveReport report = compute_reliability(g.net, demand, options);
     EXPECT_EQ(report.result.status, SolveStatus::kExact);
-    // The slab sweep serves these sides (2^14 >= 1024 configurations via
-    // kAuto), so its lane accounting is part of the determinism contract:
+    // build_side_array's certificate-closure sweep serves these sides,
+    // so its lane accounting is part of the determinism contract:
     // both per-side subtrees must report word-wide lanes and the scalar
     // residue, and every (configuration, assignment) decision is counted
     // exactly once between them.

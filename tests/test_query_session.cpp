@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -183,6 +184,37 @@ TEST(QuerySession, TelemetryCountsQueries) {
   EXPECT_EQ(session.telemetry().counter_or(telemetry_keys::kQueries), 2u);
 }
 
+// --- Work counted once ---------------------------------------------------
+//
+// An answer carries the work its own solve did: the solve that builds a
+// structure reports the build, and a cache hit reports none.
+
+TEST(QuerySession, ColdAnswerCountsTheFacadesWork) {
+  const GeneratedNetwork g = test_instance();
+  const FlowDemand demand{g.source, g.sink, 2};
+
+  QuerySession session(g.net);
+  const SolveReport cold = session.solve(demand);
+  const SolveReport facade = compute_reliability(g.net, demand);
+  ASSERT_GT(facade.result.maxflow_calls(), 0u);
+  EXPECT_TRUE(cold.result.telemetry.counters_equal(facade.result.telemetry));
+}
+
+TEST(QuerySession, WarmAnswerCarriesNoBuildWork) {
+  const GeneratedNetwork g = test_instance();
+  const FlowDemand demand{g.source, g.sink, 2};
+  const std::vector<ProbOverride> overrides{{0, 0.25}};
+
+  QuerySession session(g.net);
+  session.solve(demand);
+  const SolveReport warm = session.solve(demand, {}, overrides);
+  ASSERT_EQ(warm.result.status, SolveStatus::kExact);
+  EXPECT_GT(session.cache_hits(), 0u);
+  EXPECT_EQ(warm.result.maxflow_calls(), 0u);
+  EXPECT_EQ(warm.result.configurations(), 0u);
+  EXPECT_TRUE(warm.result.telemetry.empty());
+}
+
 // Finds an edge strictly inside the source-side cluster (never crossing).
 EdgeId side_internal_edge(const GeneratedNetwork& g, bool source_side) {
   for (EdgeId e = 0; e < g.net.num_edges(); ++e) {
@@ -277,6 +309,46 @@ void expect_bitwise_cold(QuerySession& session, const FlowDemand& demand) {
   ASSERT_EQ(served.result.status, SolveStatus::kExact);
   EXPECT_EQ(served.result.reliability,
             compute_reliability(session.network(), demand).result.reliability);
+}
+
+// After a side-only edit the rebuild patches the touched side and adopts
+// the other: the answer counts the patch's queries and nothing for the
+// adopted side, which shows up only as a repair.
+TEST(QuerySession, PatchedRebuildCountsOnlyThePatchedSide) {
+  const GeneratedNetwork g = test_instance();
+  const FlowDemand demand{g.source, g.sink, 2};
+  const EdgeId inside_s = side_internal_edge(g, true);
+
+  QuerySession session(g.net);
+  const SolveReport cold = session.solve(demand);
+  ASSERT_TRUE(cold.partition.has_value());
+  const BottleneckPartition& partition = cold.partition->partition;
+  FlowNetwork edited = g.net;
+  edited.set_capacity(inside_s, edited.edge(inside_s).capacity + 1);
+  session.set_capacity(inside_s, edited.edge(inside_s).capacity);
+  const SolveReport served = session.solve(demand);
+  ASSERT_EQ(served.result.status, SolveStatus::kExact);
+
+  // The patch on its own: the old side's table seeds the edited side.
+  const AssignmentSet set = enumerate_assignments(g.net, partition,
+                                                  demand.rate, {});
+  const SideProblem before = make_side_problem(g.net, demand, partition, true);
+  const SideProblem after = make_side_problem(edited, demand, partition, true);
+  const SlabMaskTable old_table = build_side_array(before, set, demand.rate);
+  const std::optional<SidePrior> prior = side_prior(before, old_table, after);
+  ASSERT_TRUE(prior.has_value());
+  SideArrayStats patch;
+  build_side_array(after, set, demand.rate, &patch, nullptr, &*prior);
+  ASSERT_GT(patch.maxflow_calls(), 0u);
+
+  const Telemetry& tel = served.result.telemetry;
+  EXPECT_EQ(served.result.maxflow_calls(), patch.maxflow_calls());
+  EXPECT_LT(served.result.maxflow_calls(), cold.result.maxflow_calls());
+  const Telemetry* side_t = tel.find_child("side_t");
+  EXPECT_EQ(side_t ? side_t->counter_or(telemetry_keys::kMaxflowCalls) : 0u,
+            0u);
+  EXPECT_EQ(tel.counter_or(telemetry_keys::kSideRepairs), 1u);
+  EXPECT_EQ(tel.counter_or(telemetry_keys::kSidePatches), 1u);
 }
 
 TEST(QuerySession, SuccessiveSideDeltasComposeIntoOnePatch) {

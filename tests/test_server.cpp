@@ -12,6 +12,7 @@
 #include <fstream>
 #include <future>
 #include <latch>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -817,6 +818,51 @@ TEST(Server, MetricsVerbRendersValidExposition) {
             std::string::npos);
   // le="+Inf" closes every histogram series.
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+}
+
+// Engine work is counted once per build: the cold solve bridges exactly
+// the facade's max-flow work, and warm what-ifs on the same tenant leave
+// every streamrel_engine_work_total series where it was.
+TEST(Server, WarmWhatIfsLeaveEngineWorkUnchanged) {
+  const GeneratedNetwork g = test_instance();
+  ReliabilityService service;
+  ASSERT_TRUE(service.execute(register_request(g)).ok);
+  const auto engine_work = [&service] {
+    std::map<std::string, double> series;
+    std::istringstream text(service.metrics_text());
+    for (std::string line; std::getline(text, line);) {
+      if (line.rfind("streamrel_engine_work_total{", 0) != 0) continue;
+      const std::size_t space = line.rfind(' ');
+      series[line.substr(0, space)] = std::stod(line.substr(space + 1));
+    }
+    return series;
+  };
+  EXPECT_TRUE(engine_work().empty());
+
+  WireRequest cold;
+  cold.verb = WireVerb::kSolve;
+  ASSERT_TRUE(service.execute(cold).ok);
+  const std::map<std::string, double> after_cold = engine_work();
+  const std::uint64_t facade_calls =
+      compute_reliability(g.net, {g.source, g.sink, 2}).result.maxflow_calls();
+  ASSERT_GT(facade_calls, 0u);
+  const auto calls = after_cold.find(
+      "streamrel_engine_work_total{counter=\"maxflow_calls\","
+      "engine=\"bottleneck\"}");
+  ASSERT_NE(calls, after_cold.end());
+  EXPECT_EQ(calls->second, static_cast<double>(facade_calls));
+
+  for (int i = 0; i < 8; ++i) {
+    WireRequest what_if;
+    what_if.verb = WireVerb::kSolve;
+    what_if.query.overrides.push_back(
+        ProbOverride{static_cast<EdgeId>(i % 4), 0.05 * (i + 1)});
+    const WireResponse resp = service.execute(what_if);
+    ASSERT_TRUE(resp.ok);
+    EXPECT_NE(resp.result_json.find("\"status\": \"exact\""),
+              std::string::npos);
+  }
+  EXPECT_EQ(engine_work(), after_cold);
 }
 
 TEST(Server, DumpVerbReturnsFlightRecordsInline) {

@@ -752,10 +752,10 @@ TEST(SidePatch, RestoredCapacityIsAdoptedWithZeroQueries) {
             before.table);
   EXPECT_EQ(stats.maxflow_calls(), 0u);
 
-  // The decomposition adopts it verbatim, counters and all.
+  // The decomposition adopts it verbatim and counts it as a repair.
   const BottleneckArtifacts fresh =
       build_bottleneck_artifacts(restored, demand, partition);
-  SideReuse reuse{before.side, before.table, Telemetry{}};
+  SideReuse reuse{before.side, before.table};
   const BottleneckArtifacts adopted = build_bottleneck_artifacts(
       restored, demand, partition, {}, nullptr, nullptr, nullptr, &reuse,
       nullptr);

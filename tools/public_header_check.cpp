@@ -4,7 +4,7 @@
 
 #include <streamrel/streamrel.hpp>
 
-static_assert(STREAMREL_API_VERSION >= 12, "stale public surface");
+static_assert(STREAMREL_API_VERSION >= 13, "stale public surface");
 
 namespace {
 
