@@ -211,8 +211,9 @@ int main(int argc, char** argv) {
       oracle_artifacts.side_t.view.num_edges());
   const double r_scratch =
       accumulate_bottleneck(oracle_artifacts,
-                            gather_bottleneck_probabilities(g.net, partition,
-                                                            oracle_artifacts))
+                            gather_bottleneck_probabilities(
+                                g.net.failure_probs(), partition,
+                                oracle_artifacts))
           .reliability;
   const double delta = std::abs(r_scratch - r_sweep);
   const bool r_interior = r_sweep > 0.0 && r_sweep < 1.0;

@@ -12,6 +12,8 @@
 // Runtime O(2^{alpha |E|} |V||E|) for constant d and k, versus the naive
 // O(2^{|E|} |V||E|).
 
+#include <span>
+
 #include "streamrel/core/accumulate.hpp"
 #include "streamrel/core/assignments.hpp"
 #include "streamrel/core/side_array.hpp"
@@ -152,11 +154,11 @@ struct BottleneckProbabilities {
   std::vector<double> crossing;  ///< indexed by crossing-edge position
 };
 
-/// Reads the current probabilities of `net` through the artifact edge
-/// maps. What-if callers perturb the returned vectors before
-/// accumulating; the network itself stays untouched.
+/// Reads `failure_probs` (one entry per edge id of the network the
+/// artifacts were built on) through the artifact edge maps. What-if
+/// callers perturb the returned vectors before accumulating.
 BottleneckProbabilities gather_bottleneck_probabilities(
-    const FlowNetwork& net, const BottleneckPartition& partition,
+    std::span<const double> failure_probs, const BottleneckPartition& partition,
     const BottleneckArtifacts& artifacts);
 
 /// The probability-only tail (Equations 2-3): folds the cached mask

@@ -35,14 +35,6 @@ class Engine {
   virtual bool applicable(const FlowNetwork& net,
                           const FlowDemand& demand) const = 0;
 
-  /// True when this engine's arithmetic can exploit a DeltaSolveHint
-  /// (SolveOptions::delta_hint): its decomposition artifacts survive
-  /// small capacity/probability deltas, so a warm serving layer can
-  /// re-accumulate instead of re-deriving. The kAuto chain anchors on a
-  /// delta-aware engine when a small-delta hint is present. Purely a
-  /// routing property — answers never depend on it.
-  virtual bool delta_aware() const noexcept { return false; }
-
   /// `ctx` may be null (no deadline, no cancellation, default threads).
   virtual SolveReport solve(const FlowNetwork& net, const FlowDemand& demand,
                             const SolveOptions& options,

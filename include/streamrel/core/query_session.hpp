@@ -21,14 +21,16 @@
 // prefix-product table and a few vectorized multiplies per
 // configuration) plus 2^k inclusion–exclusion terms, no max-flow.
 //
-// Invalidation is CUT-SCOPED, decided per edit class × artifact layer:
+// apply_delta(NetworkDelta) is the one way to edit a session. It
+// classifies the delta and invalidates CUT-SCOPED, decided per edit
+// class × artifact layer:
 //
-//   * probability edits flush nothing — they overlay the pinned snapshot
-//     via with_failure_prob, which preserves the structure id, so "this
-//     cache entry is still valid" is literally a structure-identity check;
-//   * capacity edits (apply_delta / set_capacity) keep every partition
-//     (candidate cuts are capacity-independent; their stats are cheaply
-//     re-analyzed), keep assignment sets whose crossing was not touched,
+//   * probability deltas flush nothing — the snapshot patch shares the
+//     whole structure and keeps its id, so "this cache entry is still
+//     valid" is literally a structure-identity check;
+//   * capacity deltas keep every partition (candidate cuts are
+//     capacity-independent; their stats are cheaply re-analyzed), keep
+//     assignment sets whose crossing was not touched,
 //     and classify each mask-table entry by WHERE the touched edges fall:
 //     a touch in the crossing drops the entry and its assignment set; a
 //     touch confined to the sides drops the entry but keeps both of its
@@ -39,7 +41,7 @@
 //     capacity changes can flip; see build_side_array). Kept sides
 //     compose across successive side deltas and die when a delta reaches
 //     the crossing;
-//   * topology edits flush all three layers (the old shape is dead).
+//   * topology deltas flush all three layers (the old shape is dead).
 //
 //     edit reaches    | partitions | assignments | side arrays
 //     probability     | kept       | kept        | kept
@@ -49,10 +51,10 @@
 //     topology        | flushed    | flushed     | flushed
 //
 // The successor snapshot comes from CompiledNetwork::apply_delta — CSR
-// patches sharing untouched blocks — and each capacity/probability delta
-// leaves a DeltaSolveHint that subsequent solves forward to the engine
-// layer. Telemetry splits invalidation outcomes into full / partial /
-// survived per-entry counters.
+// patches sharing untouched blocks — so the session's snapshot always
+// mirrors its network, and the accumulation reads probabilities from the
+// snapshot its query pinned. Telemetry splits invalidation outcomes into
+// full / partial / survived per-entry counters.
 //
 // Results are bitwise-identical to a cold compute_reliability call on
 // the same network — the session reuses the facade's arithmetic, it
@@ -76,6 +78,7 @@
 #include "streamrel/core/bottleneck_algorithm.hpp"
 #include "streamrel/core/reliability_facade.hpp"
 #include "streamrel/cuts/partition_search.hpp"
+#include "streamrel/graph/delta.hpp"
 
 namespace streamrel {
 
@@ -90,8 +93,6 @@ struct QueryCacheOptions {
   /// LRU bound on cached mask-table entries (one entry holds both side
   /// arrays of one decomposition at one demand).
   std::size_t max_mask_tables = 64;
-  /// Master switch; disabled sessions behave like the plain facade.
-  bool enabled = true;
 };
 
 /// QuerySession::apply_delta result: what the delta did to the session's
@@ -120,8 +121,8 @@ struct DeltaOutcome {
 
 class QuerySession {
  public:
-  /// The session owns its copy of the network; edit it through the
-  /// session so the caches see every change.
+  /// The session owns its copy of the network; apply_delta is the only
+  /// way to edit it, so the caches see every change.
   explicit QuerySession(FlowNetwork net, QueryCacheOptions cache = {});
 
   /// Warm restore: adopts a pre-compiled snapshot CONSISTENT with `net`
@@ -136,45 +137,14 @@ class QuerySession {
 
   const FlowNetwork& network() const noexcept { return net_; }
 
-  /// The DOCUMENTED alias for editing the network outside the session's
-  /// edit methods. After editing through it, call invalidate(scope) with
-  /// the strongest edit class performed — a probability-only scope keeps
-  /// every structural artifact (the session re-syncs its snapshot's
-  /// probability columns in place).
-  FlowNetwork& mutable_network() noexcept { return net_; }
-
   // --- edits -------------------------------------------------------
-
-  /// Probability edit: structural caches SURVIVE (masks are
-  /// probability-independent); only subsequent accumulations change.
-  void set_failure_prob(EdgeId id, double p);
-  /// Capacity edit: cut-scoped invalidation (equivalent to apply_delta
-  /// with a single capacity edit).
-  void set_capacity(EdgeId id, Capacity c);
-  /// Topology edit: invalidates every structural cache layer.
-  EdgeId add_edge(NodeId u, NodeId v, Capacity capacity, double failure_prob,
-                  EdgeKind kind);
 
   /// Applies one edit batch to the session network and snapshot (via
   /// CompiledNetwork::apply_delta) and invalidates the caches CUT-SCOPED:
   /// see the header comment for the edit class × artifact layer matrix.
   /// Atomic: an invalid delta throws std::invalid_argument and leaves
-  /// network and caches untouched. Subsequent solves carry a
-  /// DeltaSolveHint describing the delta until the next edit.
+  /// network and caches untouched.
   DeltaOutcome apply_delta(const NetworkDelta& delta);
-
-  /// Explicit invalidation after editing through an alias
-  /// (mutable_network()). `scope` is the strongest edit class performed:
-  ///  * kProbabilityOnly — structural artifacts all SURVIVE; the pinned
-  ///    snapshot's probability columns are re-synced from the network
-  ///    (same structure id), so this is the documented fast path for
-  ///    probability-overlay edits through an alias;
-  ///  * kCapacityOnly / kTopology — the touched-edge set is unknown, so
-  ///    the session flushes every structural layer (use apply_delta for
-  ///    scoped invalidation).
-  /// An alias edit that changed the edge count is treated as kTopology
-  /// regardless of the declared scope.
-  void invalidate(DeltaClass scope = DeltaClass::kTopology);
 
   // --- queries -----------------------------------------------------
 
@@ -258,9 +228,13 @@ class QuerySession {
   /// interrupted build, or "not on the bottleneck path" (facade
   /// fallback). BatchEvaluator prepares all queries serially, then
   /// accumulates the ready ones concurrently — the shared_ptr pins keep
-  /// entries alive across LRU evictions.
+  /// entries alive across LRU evictions, and the pinned snapshot keeps
+  /// the probabilities of the prepare's network across later deltas.
   struct PreparedQuery {
     std::shared_ptr<const ArtifactEntry> entry;  ///< set when ready
+    /// The session snapshot at prepare time (set when ready): the
+    /// accumulation reads its probability column, never net_.
+    std::shared_ptr<const CompiledNetwork> snapshot;
     /// Counters of the build this query ran; empty on a cache hit.
     Telemetry build_telemetry;
     std::optional<PartitionChoice> partition;
@@ -293,13 +267,39 @@ class QuerySession {
   PreparedQuery prepare_cached(const FlowDemand& demand,
                                const SolveOptions& options, ExecContext& ctx);
 
-  /// The probability-only phase: gather + override + accumulate. Does
-  /// NOT touch session state — safe to run concurrently for distinct
-  /// prepared queries. Never throws once overrides are validated.
-  SolveReport finish_prepared(const PreparedQuery& prepared,
-                              const SolveOptions& options,
-                              std::span<const ProbOverride> overrides,
-                              const ExecContext* ctx) const;
+  // Every solve path — solve(), TenantSession::solve and BatchEvaluator —
+  // runs the same steps: prepare (writer access), then either
+  // accumulate + finish on the bottleneck path or solve_fallback.
+
+  /// options.context when set; otherwise `local`, seeded from
+  /// options.deadline_ms / options.max_threads (the facade's rule).
+  static ExecContext& context_for(const SolveOptions& options,
+                                  ExecContext& local);
+
+  /// The traced prepare: checks the overrides, counts the query, runs
+  /// prepare_cached under the "query_prepare" span (args: this query's
+  /// cache_hits / cache_misses and bottleneck_path), and counts a
+  /// fallback solve when the query leaves the bottleneck path.
+  PreparedQuery prepare(const FlowDemand& demand, const SolveOptions& options,
+                        std::span<const ProbOverride> overrides,
+                        ExecContext& ctx);
+
+  /// The probability-only phase: gather from the pinned snapshot +
+  /// override + accumulate. Does NOT touch session state — safe to run
+  /// concurrently for distinct prepared queries, and with edits. Never
+  /// throws once prepare has checked the overrides.
+  SolveReport accumulate(const PreparedQuery& prepared,
+                         const SolveOptions& options,
+                         std::span<const ProbOverride> overrides,
+                         const ExecContext* ctx) const;
+
+  /// Closes a bottleneck-path answer: reliability bounds under the
+  /// query's overrides when it is not exact (the network is edited and
+  /// restored around the call: writer access), then the answer's
+  /// counters merged into ctx.
+  void finish(SolveReport& report, const FlowDemand& demand,
+              const SolveOptions& options,
+              std::span<const ProbOverride> overrides, ExecContext& ctx);
 
   /// Facade fallback with overrides applied to (and reverted from) the
   /// session network.
@@ -311,17 +311,6 @@ class QuerySession {
   /// Throws std::invalid_argument on an out-of-range edge or a
   /// probability outside [0, 1).
   void validate_overrides(std::span<const ProbOverride> overrides) const;
-
-  /// reliability_bounds under the query's overridden probabilities (the
-  /// network is edited and restored around the call).
-  ReliabilityBounds bounds_with_overrides(
-      const FlowDemand& demand, const BoundsOptions& options,
-      std::span<const ProbOverride> overrides);
-
-  BottleneckProbabilities gather_probs(
-      const BottleneckPartition& partition,
-      const BottleneckArtifacts& artifacts,
-      std::span<const ProbOverride> overrides) const;
 
   /// The two sides of an entry dropped by a side-only capacity delta, to
   /// be adopted or patched by the next rebuild of its key, plus the
@@ -349,10 +338,10 @@ class QuerySession {
   void trim_kept_sides();
   Telemetry& layer_counters(std::string_view layer);
 
-  /// The session's frozen snapshot, minted lazily on first use.
-  /// Probability edits keep it (overlaying via with_failure_prob, which
-  /// preserves the structure id); capacity/topology edits drop it so the
-  /// next query compiles a fresh structure.
+  /// The session's frozen snapshot, minted lazily on first use and
+  /// patched by every non-topology delta (a probability delta keeps its
+  /// structure id); a topology delta drops it so the next query compiles
+  /// a fresh structure.
   const std::shared_ptr<const CompiledNetwork>& snapshot();
 
   FlowNetwork net_;
@@ -373,9 +362,6 @@ class QuerySession {
   /// Bounded by max_mask_tables like lru_: the oldest go first.
   KeptList kept_;
   std::map<ArtifactKey, KeptList::iterator> kept_index_;
-  /// Hint describing the latest delta; attached to solves (when the
-  /// caller did not set options.delta_hint) until the next edit.
-  std::optional<DeltaSolveHint> pending_hint_;
 };
 
 }  // namespace streamrel

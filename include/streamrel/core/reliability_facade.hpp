@@ -12,7 +12,6 @@
 #include "streamrel/core/bottleneck_algorithm.hpp"
 #include "streamrel/core/hybrid_mc.hpp"
 #include "streamrel/cuts/partition_search.hpp"
-#include "streamrel/graph/delta.hpp"
 #include "streamrel/reliability/bounds.hpp"
 #include "streamrel/reliability/factoring.hpp"
 #include "streamrel/reliability/frontier.hpp"
@@ -51,12 +50,6 @@ struct SolveOptions {
   /// telemetry is merged into context->telemetry on return. When set it
   /// REPLACES deadline_ms / max_threads above.
   ExecContext* context = nullptr;
-  /// Advisory delta hint (non-owning, may be null): the instance is a
-  /// small perturbation of a previously solved structure. kAuto anchors
-  /// its chain on a delta-aware engine (Engine::delta_aware()) when the
-  /// hint is small; QuerySession attaches one automatically after
-  /// apply_delta. Never changes any answer, only the work performed.
-  const DeltaSolveHint* delta_hint = nullptr;
   PartitionSearchOptions partition_search{};
   BottleneckOptions bottleneck{};
   NaiveOptions naive{};

@@ -13,12 +13,11 @@
 //     live in the outer CompiledNetwork.
 //
 // The split is what makes the serving layer's invalidation rule cheap
-// and principled: a probability edit calls with_failure_prob(), which
-// copies only the three probability columns and re-points at the SAME
-// Structure — so "probability edits keep every structural cache" is an
-// identity check on structure_id(), not an epoch heuristic. Capacity or
-// topology edits go back through the builder and compile() a new
-// Structure with a fresh id.
+// and principled: a probability-only apply_delta() copies only the three
+// probability columns and re-points at the SAME Structure — so
+// "probability edits keep every structural cache" is an identity check
+// on structure_id(), not an epoch heuristic. Capacity and topology deltas
+// mint a new Structure with a fresh id.
 //
 // NetworkView is the zero-copy companion: a side component of the
 // bottleneck decomposition (§III-C) as index-translation tables over one
@@ -99,21 +98,6 @@ class CompiledNetwork {
       Topology topology, std::vector<Capacity> capacity,
       std::vector<double> failure_prob, std::vector<double> log_failure,
       std::vector<double> log_survival);
-
-  /// Probability overlay: a new snapshot sharing THIS snapshot's
-  /// Structure (same structure_id()), with edge `id` failing with
-  /// probability `p`. Throws std::invalid_argument for a bad edge id or
-  /// p outside [0, 1). Cost: one copy of the probability columns.
-  std::shared_ptr<const CompiledNetwork> with_failure_prob(EdgeId id,
-                                                           double p) const;
-
-  /// Bulk probability overlay: a new snapshot sharing THIS snapshot's
-  /// Structure with the whole probability column replaced (one entry per
-  /// edge, each in [0, 1)). The fast path for "re-sync probabilities
-  /// after an alias edit" — structural caches keyed on structure_id()
-  /// remain valid by construction.
-  std::shared_ptr<const CompiledNetwork> with_failure_probs(
-      std::span<const double> probs) const;
 
   /// Successor snapshot under `delta` (see graph/delta.hpp for the edit
   /// and id semantics). Shares every block the delta does not touch:

@@ -185,30 +185,4 @@ class DeltaJournal {
   Impl& impl() const;
 };
 
-/// Hint attached to a solve (SolveOptions::delta_hint) telling the
-/// engine layer that the instance is a small perturbation of a
-/// previously solved structure: `parent_structure_id` identifies the
-/// warm structure, `touched_edges` (post-delta ids) what moved.
-/// QuerySession::apply_delta produces one automatically; delta-aware
-/// engines (Engine::delta_aware()) use it to route the query to
-/// warm-artifact re-accumulation instead of a cold decomposition.
-/// Purely advisory: answers never depend on the hint, only the work
-/// performed does.
-struct DeltaSolveHint {
-  std::uint64_t parent_structure_id = 0;
-  DeltaClass delta_class = DeltaClass::kTopology;
-  std::vector<EdgeId> touched_edges;
-
-  /// True when the whole decomposition can be reused and only the
-  /// probability fold needs to rerun.
-  bool accumulation_only() const noexcept {
-    return delta_class == DeltaClass::kProbabilityOnly;
-  }
-  /// Small enough that cut-scoped artifact reuse is expected to win.
-  bool small(std::size_t limit = 8) const noexcept {
-    return delta_class != DeltaClass::kTopology &&
-           touched_edges.size() <= limit;
-  }
-};
-
 }  // namespace streamrel

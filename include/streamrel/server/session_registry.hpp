@@ -6,15 +6,15 @@
 //
 // QuerySession itself is single-threaded by design (the caches are
 // mutable on the read path). TenantSession wraps one behind a
-// shared_mutex and re-implements the solve() orchestration with split
-// locking (it is a friend of QuerySession): cache preparation, fallback
-// solves and delta application — everything that can mutate the network
-// or the caches — run under the writer lock, while the expensive warm
-// path (finish_prepared: gather probabilities + accumulate, which only
-// READS the cached artifacts) runs under the reader lock, so a tenant's
-// warm what-ifs proceed in parallel. Answers stay bitwise-identical to
-// a plain QuerySession: the orchestration is the same code path in the
-// same order, only the locking is new.
+// shared_mutex and runs QuerySession's own solve steps (it is a friend)
+// with split locking: the prepare, fallback solves, bounds for degraded
+// answers and delta application — everything that can mutate the
+// network or the caches — run under the writer lock, while the
+// expensive warm path (accumulate: gather probabilities from the
+// snapshot the prepare pinned + fold, which only READS pinned artifacts)
+// runs under the reader lock, so a tenant's warm what-ifs proceed in
+// parallel. Answers stay bitwise-identical to a plain QuerySession: the
+// steps are the same code in the same order, only the locking is new.
 //
 // Bookkeeping never takes another session's lock. The registry keeps
 // the current implicit share and, only when a registration or restore
@@ -78,9 +78,9 @@ class TenantSession {
   /// persist/store.hpp for the durability protocol).
   StoreStatus checkpoint_now(std::string* error = nullptr);
 
-  /// Same contract and bitwise-same answer as QuerySession::solve.
-  /// `options.context` must be set (the service owns the per-request
-  /// ExecContext); the delta hint handling matches QuerySession.
+  /// Same contract and bitwise-same answer as QuerySession::solve, run
+  /// through the same prepare / accumulate / finish steps. The service
+  /// always sets `options.context` (it owns the per-request ExecContext).
   SolveReport solve(const FlowDemand& demand, const SolveOptions& options,
                     std::span<const ProbOverride> overrides);
 

@@ -67,7 +67,15 @@
 /// answer carries only the work its own solve did, and the session
 /// tree drops its `solves` subtree, `query_latency` histogram and
 /// `query_ms` timer.
-#define STREAMREL_API_VERSION 13
+/// v14: one edit path — QuerySession::apply_delta is the only way to
+/// edit a session: its set_failure_prob, set_capacity and add_edge
+/// edits, the writable network alias, invalidate(scope), the two
+/// probability overlays of CompiledNetwork and QueryCacheOptions::enabled
+/// are gone, as are the advisory delta-hint struct, the SolveOptions
+/// field that carried it and the Engine routing flag it consulted.
+/// gather_bottleneck_probabilities reads a probability column (one
+/// entry per edge id) instead of a FlowNetwork.
+#define STREAMREL_API_VERSION 14
 
 namespace streamrel {
 

@@ -61,21 +61,19 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
         const double batch_left = batch_ctx.remaining_ms();
         slot.ctx.set_deadline_ms(std::min(q.deadline_ms, batch_left));
       }
-      session_->telemetry_.counter(telemetry_keys::kQueries) += 1;
-      // Each prepared entry's side views pin the session snapshot, so
-      // the whole batch accumulates against one frozen structure even if
+      // Each prepared query pins its entry and the session snapshot, so
+      // the whole batch accumulates against one frozen network even if
       // the session is edited while results are still being read.
       slot.prepared =
-          session_->prepare_cached(q.demand, slot.options, slot.ctx);
+          session_->prepare(q.demand, slot.options, q.prob_overrides, slot.ctx);
       slot.fallback = !slot.prepared.bottleneck_path;
     }
   }
 
   // Phase 2 — probability-only accumulation over pinned artifacts.
-  // finish_prepared is const and touches no session state; the only
-  // exception it could raise (bad override) was ruled out above, and
-  // context stops come back as SolveStatus — nothing escapes the
-  // parallel region.
+  // accumulate is const and touches no session state; overrides were
+  // checked above, and context stops come back as SolveStatus — nothing
+  // escapes the parallel region.
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!slots[i].fallback) ready.push_back(i);
@@ -85,7 +83,7 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
     TraceSpan span("batch_query", "batch");
     span.arg("query", static_cast<std::uint64_t>(i));
     const auto start = std::chrono::steady_clock::now();
-    batch.reports[i] = session_->finish_prepared(
+    batch.reports[i] = session_->accumulate(
         slots[i].prepared, slots[i].options, q.prob_overrides, &slots[i].ctx);
     slots[i].latency_ms = elapsed_ms_since(start);
   };
@@ -108,15 +106,14 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
 #endif
   }
 
-  // Phase 3 — facade fallbacks (serial: they guard-edit the session
-  // network), bounds for degraded answers, telemetry in query order.
+  // Phase 3 — facade fallbacks and finishes (serial: both may guard-edit
+  // the session network), telemetry in query order.
   TraceSpan phase_span("batch_finalize", "batch");
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const WhatIfQuery& q = queries[i];
     Slot& slot = slots[i];
     SolveReport& report = batch.reports[i];
     if (slot.fallback) {
-      session_->telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
       batch.telemetry.counter(telemetry_keys::kFallbackSolves) += 1;
       const auto start = std::chrono::steady_clock::now();
       report =
@@ -124,12 +121,8 @@ BatchReport BatchEvaluator::evaluate(std::span<const WhatIfQuery> queries,
                                    slot.ctx);
       slot.latency_ms = elapsed_ms_since(start);
     } else {
-      slot.ctx.telemetry.merge(report.result.telemetry);
-    }
-    if (report.result.status != SolveStatus::kExact && !report.bounds) {
-      report.bounds = session_->bounds_with_overrides(q.demand,
-                                                      slot.options.bounds,
-                                                      q.prob_overrides);
+      session_->finish(report, q.demand, slot.options, q.prob_overrides,
+                       slot.ctx);
     }
     if (report.result.status == SolveStatus::kExact) batch.exact_count += 1;
     batch.telemetry.counter(telemetry_keys::kQueries) += 1;

@@ -128,24 +128,28 @@ BottleneckArtifacts build_bottleneck_artifacts(
 }
 
 BottleneckProbabilities gather_bottleneck_probabilities(
-    const FlowNetwork& net, const BottleneckPartition& partition,
+    std::span<const double> failure_probs, const BottleneckPartition& partition,
     const BottleneckArtifacts& artifacts) {
+  const auto prob = [&](EdgeId id) {
+    return failure_probs[static_cast<std::size_t>(id)];
+  };
   BottleneckProbabilities probs;
   const auto gather_side = [&](const SideProblem& side,
                                std::vector<double>& out) {
-    // Read the LIVE network, not the side's pinned snapshot: cached views
-    // stay correct across probability edits because only this gather (and
-    // the crossing list below) feeds probabilities into the accumulation.
+    // Read the caller's column, not the side's pinned snapshot: cached
+    // views stay correct across probability edits because only this
+    // gather (and the crossing list below) feeds probabilities into the
+    // accumulation.
     out.reserve(side.view.edge_map().size());
     for (EdgeId original : side.view.edge_map()) {
-      out.push_back(net.edge(original).failure_prob);
+      out.push_back(prob(original));
     }
   };
   gather_side(artifacts.side_s, probs.side_s);
   gather_side(artifacts.side_t, probs.side_t);
   probs.crossing.reserve(partition.crossing_edges.size());
   for (EdgeId id : partition.crossing_edges) {
-    probs.crossing.push_back(net.edge(id).failure_prob);
+    probs.crossing.push_back(prob(id));
   }
   return probs;
 }
@@ -220,7 +224,9 @@ BottleneckResult reliability_bottleneck(
   BottleneckResult result;
   if (artifacts.usable()) {
     result = accumulate_bottleneck(
-        artifacts, gather_bottleneck_probabilities(net, partition, artifacts),
+        artifacts,
+        gather_bottleneck_probabilities(net.failure_probs(), partition,
+                                        artifacts),
         options.accumulation, ctx);
   } else {
     result.partition_stats = artifacts.partition_stats;

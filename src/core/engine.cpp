@@ -100,13 +100,6 @@ class BottleneckEngine final : public Engine {
     (void)demand;
     return true;  // decided by the candidate walk in solve()
   }
-  bool delta_aware() const noexcept override {
-    // The decomposition's partitions, assignment sets and side arrays are
-    // all capacity/topology artifacts with cut-local dependence: a small
-    // delta leaves most of them valid, which is exactly what
-    // QuerySession's cut-scoped cache exploits.
-    return true;
-  }
   SolveReport solve(const FlowNetwork& net, const FlowDemand& demand,
                     const SolveOptions& options,
                     const ExecContext* ctx) const override {

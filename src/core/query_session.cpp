@@ -67,53 +67,6 @@ QuerySession::QuerySession(FlowNetwork net,
   }
 }
 
-void QuerySession::set_failure_prob(EdgeId id, double p) {
-  net_.set_failure_prob(id, p);  // masks are probability-independent:
-                                 // every cache layer survives
-  if (snapshot_) {
-    // Overlay the new probability on the pinned snapshot: the structure
-    // id is preserved, so cached artifacts keep matching it.
-    snapshot_ = snapshot_->with_failure_prob(id, p);
-  }
-}
-
-void QuerySession::set_capacity(EdgeId id, Capacity c) {
-  NetworkDelta delta;
-  delta.set_capacity(id, c);
-  apply_delta(delta);
-}
-
-EdgeId QuerySession::add_edge(NodeId u, NodeId v, Capacity capacity,
-                              double failure_prob, EdgeKind kind) {
-  NetworkDelta delta;
-  delta.add_edge(u, v, capacity, failure_prob, kind);
-  apply_delta(delta);
-  return static_cast<EdgeId>(net_.num_edges() - 1);
-}
-
-void QuerySession::invalidate(DeltaClass scope) {
-  if (scope == DeltaClass::kProbabilityOnly && snapshot_ &&
-      static_cast<std::size_t>(net_.num_edges()) ==
-          snapshot_->failure_probs().size()) {
-    // The alias fast path: masks, assignment sets and partitions are all
-    // probability-independent, so every structural artifact survives. The
-    // pinned snapshot re-syncs its probability columns in place — the
-    // structure id is preserved, so cached entries keep matching it.
-    const std::vector<double> probs = net_.failure_probs();
-    snapshot_ = snapshot_->with_failure_probs(probs);
-    telemetry_.child("cache").counter(telemetry_keys::kCacheSurvived) +=
-        lru_.size();
-    return;
-  }
-  if (scope == DeltaClass::kProbabilityOnly && !snapshot_) {
-    return;  // nothing pinned, nothing cached: nothing to do
-  }
-  // Capacity/topology scope (or an alias edit that changed the edge
-  // count): the touched-edge set is unknown, so scoped invalidation is
-  // impossible — flush everything.
-  bump_epoch();
-}
-
 void QuerySession::bump_epoch() {
   Telemetry& cache = telemetry_.child("cache");
   cache.counter(telemetry_keys::kCacheInvalidations) += 1;
@@ -126,7 +79,6 @@ void QuerySession::bump_epoch() {
   failed_.clear();
   kept_.clear();
   kept_index_.clear();
-  pending_hint_.reset();
 }
 
 DeltaOutcome QuerySession::apply_delta(const NetworkDelta& delta) {
@@ -147,58 +99,21 @@ DeltaOutcome QuerySession::apply_delta(const NetworkDelta& delta) {
     return out;
   }
 
-  // Probability / capacity deltas keep every id. Validate the batch up
-  // front so a bad edit leaves network and caches untouched.
-  for (const NetworkDelta::ProbEdit& e : delta.prob_edits) {
-    if (!net_.valid_edge(e.edge)) {
-      throw std::invalid_argument("delta: probability edit names a bad edge");
-    }
-    if (!(e.failure_prob >= 0.0) || !(e.failure_prob < 1.0)) {
-      throw std::invalid_argument("delta: failure probability not in [0,1)");
-    }
-  }
-  for (const NetworkDelta::CapacityEdit& e : delta.capacity_edits) {
-    if (!net_.valid_edge(e.edge)) {
-      throw std::invalid_argument("delta: capacity edit names a bad edge");
-    }
-    if (e.capacity < 0) {
-      throw std::invalid_argument("delta: negative capacity");
-    }
-  }
-
-  const std::uint64_t parent_structure =
-      snapshot_ ? snapshot_->structure_id() : 0;
-
-  // Patch the pinned snapshot: probability deltas share the whole
-  // Structure (same id), capacity deltas share the Topology block and
+  // Probability / capacity deltas keep every id. The snapshot patch
+  // validates the whole batch before anything moves, so a bad edit leaves
+  // network and caches untouched. Probability deltas share the whole
+  // Structure (same id); capacity deltas share the Topology block and
   // mint a successor id journaled against the parent.
-  std::vector<EdgeId> touched;
-  if (snapshot_) {
-    CompiledDelta patched = snapshot_->apply_delta(delta);
-    snapshot_ = std::move(patched.snapshot);
-    touched = std::move(patched.touched_edges);
-  } else {
-    for (const NetworkDelta::CapacityEdit& e : delta.capacity_edits) {
-      touched.push_back(e.edge);
-    }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  }
+  CompiledDelta patched = snapshot()->apply_delta(delta);
+  snapshot_ = std::move(patched.snapshot);
   for (const NetworkDelta::ProbEdit& e : delta.prob_edits) {
     net_.set_failure_prob(e.edge, e.failure_prob);
   }
   for (const NetworkDelta::CapacityEdit& e : delta.capacity_edits) {
     net_.set_capacity(e.edge, e.capacity);
   }
-
-  out.node_map.resize(static_cast<std::size_t>(net_.num_nodes()));
-  for (NodeId n = 0; n < net_.num_nodes(); ++n) {
-    out.node_map[static_cast<std::size_t>(n)] = n;
-  }
-  out.edge_map.resize(static_cast<std::size_t>(net_.num_edges()));
-  for (EdgeId e = 0; e < net_.num_edges(); ++e) {
-    out.edge_map[static_cast<std::size_t>(e)] = e;
-  }
+  out.node_map = std::move(patched.node_map);
+  out.edge_map = std::move(patched.edge_map);
 
   Telemetry& cache = telemetry_.child("cache");
   if (out.applied == DeltaClass::kProbabilityOnly) {
@@ -207,19 +122,12 @@ DeltaOutcome QuerySession::apply_delta(const NetworkDelta& delta) {
     out.partitions_survived = partitions_.size();
     out.assignments_survived = assignments_.size();
     cache.counter(telemetry_keys::kCacheSurvived) += lru_.size();
-    DeltaSolveHint hint;
-    hint.parent_structure_id = parent_structure;
-    hint.delta_class = DeltaClass::kProbabilityOnly;
-    for (const NetworkDelta::ProbEdit& e : delta.prob_edits) {
-      hint.touched_edges.push_back(e.edge);
-    }
-    pending_hint_ = std::move(hint);
     return out;
   }
 
   // Capacity-only: cut-scoped invalidation over the touched edges.
   cache.counter(telemetry_keys::kCacheInvalidations) += 1;
-  invalidate_capacity_scoped(touched, out);
+  invalidate_capacity_scoped(patched.touched_edges, out);
   cache.counter(telemetry_keys::kCacheInvalidationsFull) += out.entries_full;
   cache.counter(telemetry_keys::kCacheInvalidationsPartial) +=
       out.entries_partial;
@@ -227,11 +135,6 @@ DeltaOutcome QuerySession::apply_delta(const NetworkDelta& delta) {
   // Structural failures (assignment blow-ups) depend on crossing
   // capacities; re-decide them against the new structure.
   failed_.clear();
-  DeltaSolveHint hint;
-  hint.parent_structure_id = parent_structure;
-  hint.delta_class = DeltaClass::kCapacityOnly;
-  hint.touched_edges = std::move(touched);
-  pending_hint_ = std::move(hint);
   span.arg("full", out.entries_full)
       .arg("partial", out.entries_partial)
       .arg("survived", out.entries_survived);
@@ -459,7 +362,6 @@ void QuerySession::trim_kept_sides() {
 
 bool QuerySession::cacheable(const FlowDemand& demand,
                              const SolveOptions& options) const {
-  if (!cache_options_.enabled) return false;
   if (options.method != Method::kAuto &&
       options.method != Method::kBottleneck) {
     return false;
@@ -639,6 +541,7 @@ QuerySession::PreparedQuery QuerySession::prepare_cached(
       prepared.stop = stop;
     } else {
       prepared.entry = std::move(artifacts);
+      prepared.snapshot = snapshot();
     }
     return prepared;
   }
@@ -663,11 +566,8 @@ QuerySession::PreparedQuery QuerySession::prepare_cached(
   return prepared;  // kAuto: facade fallback runs the baseline chain
 }
 
-BottleneckProbabilities QuerySession::gather_probs(
-    const BottleneckPartition& partition, const BottleneckArtifacts& artifacts,
+void QuerySession::validate_overrides(
     std::span<const ProbOverride> overrides) const {
-  BottleneckProbabilities probs =
-      gather_bottleneck_probabilities(net_, partition, artifacts);
   for (const ProbOverride& o : overrides) {
     if (!net_.valid_edge(o.edge)) {
       throw std::invalid_argument("override edge out of range");
@@ -675,6 +575,59 @@ BottleneckProbabilities QuerySession::gather_probs(
     if (!(o.failure_prob >= 0.0) || !(o.failure_prob < 1.0)) {
       throw std::invalid_argument("override probability not in [0,1)");
     }
+  }
+}
+
+ExecContext& QuerySession::context_for(const SolveOptions& options,
+                                       ExecContext& local) {
+  if (options.context) return *options.context;
+  if (options.deadline_ms > 0.0) local.set_deadline_ms(options.deadline_ms);
+  local.max_threads = options.max_threads;
+  return local;
+}
+
+QuerySession::PreparedQuery QuerySession::prepare(
+    const FlowDemand& demand, const SolveOptions& options,
+    std::span<const ProbOverride> overrides, ExecContext& ctx) {
+  validate_overrides(overrides);
+  telemetry_.counter(telemetry_keys::kQueries) += 1;
+  TraceSpan span("query_prepare", "cache");
+  // Annotate the span with the cache traffic THIS query caused: the
+  // per-layer hit/miss counters are cheap to aggregate and only read when
+  // a trace is actually being recorded.
+  const std::uint64_t hits = span.active() ? cache_hits() : 0;
+  const std::uint64_t misses = span.active() ? cache_misses() : 0;
+  PreparedQuery prepared = prepare_cached(demand, options, ctx);
+  if (span.active()) {
+    span.arg("cache_hits", cache_hits() - hits)
+        .arg("cache_misses", cache_misses() - misses)
+        .arg("bottleneck_path", prepared.bottleneck_path);
+  }
+  if (!prepared.bottleneck_path) {
+    telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
+  }
+  return prepared;
+}
+
+SolveReport QuerySession::accumulate(const PreparedQuery& prepared,
+                                     const SolveOptions& options,
+                                     std::span<const ProbOverride> overrides,
+                                     const ExecContext* ctx) const {
+  SolveReport report;
+  report.method_used = Method::kBottleneck;
+  report.engine = "bottleneck";
+  report.partition = prepared.partition;
+  if (prepared.stop != SolveStatus::kExact) {
+    report.result.status = prepared.stop;
+    return report;
+  }
+  TraceSpan span("query_accumulate", "cache");
+  span.arg("overrides", static_cast<std::uint64_t>(overrides.size()));
+  const BottleneckPartition& partition = prepared.partition->partition;
+  const BottleneckArtifacts& artifacts = prepared.entry->artifacts;
+  BottleneckProbabilities probs = gather_bottleneck_probabilities(
+      prepared.snapshot->failure_probs(), partition, artifacts);
+  for (const ProbOverride& o : overrides) {
     // Each edge lives in exactly one place: a side subgraph or the
     // crossing set.
     for (std::size_t j = 0; j < partition.crossing_edges.size(); ++j) {
@@ -693,48 +646,21 @@ BottleneckProbabilities QuerySession::gather_probs(
     place_side(artifacts.side_s, probs.side_s);
     place_side(artifacts.side_t, probs.side_t);
   }
-  return probs;
-}
-
-void QuerySession::validate_overrides(
-    std::span<const ProbOverride> overrides) const {
-  for (const ProbOverride& o : overrides) {
-    if (!net_.valid_edge(o.edge)) {
-      throw std::invalid_argument("override edge out of range");
-    }
-    if (!(o.failure_prob >= 0.0) || !(o.failure_prob < 1.0)) {
-      throw std::invalid_argument("override probability not in [0,1)");
-    }
-  }
-}
-
-SolveReport QuerySession::finish_prepared(
-    const PreparedQuery& prepared, const SolveOptions& options,
-    std::span<const ProbOverride> overrides, const ExecContext* ctx) const {
-  SolveReport report;
-  report.method_used = Method::kBottleneck;
-  report.engine = "bottleneck";
-  report.partition = prepared.partition;
-  if (prepared.stop != SolveStatus::kExact) {
-    report.result.status = prepared.stop;
-    return report;
-  }
-  TraceSpan span("query_accumulate", "cache");
-  span.arg("overrides", static_cast<std::uint64_t>(overrides.size()));
-  const BottleneckProbabilities probs = gather_probs(
-      prepared.partition->partition, prepared.entry->artifacts, overrides);
-  report.result =
-      accumulate_bottleneck(prepared.entry->artifacts, probs,
-                            options.bottleneck.accumulation, ctx);
+  report.result = accumulate_bottleneck(artifacts, probs,
+                                        options.bottleneck.accumulation, ctx);
   report.result.telemetry = prepared.build_telemetry;
   return report;
 }
 
-ReliabilityBounds QuerySession::bounds_with_overrides(
-    const FlowDemand& demand, const BoundsOptions& options,
-    std::span<const ProbOverride> overrides) {
-  const OverrideGuard guard(net_, overrides);
-  return reliability_bounds(net_, demand, options);
+void QuerySession::finish(SolveReport& report, const FlowDemand& demand,
+                          const SolveOptions& options,
+                          std::span<const ProbOverride> overrides,
+                          ExecContext& ctx) {
+  if (!report.exact() && !report.bounds) {
+    const OverrideGuard guard(net_, overrides);
+    report.bounds = reliability_bounds(net_, demand, options.bounds);
+  }
+  ctx.telemetry.merge(report.result.telemetry);
 }
 
 SolveReport QuerySession::solve_fallback(const FlowDemand& demand,
@@ -757,52 +683,14 @@ SolveReport QuerySession::solve(const FlowDemand& demand,
 SolveReport QuerySession::solve(const FlowDemand& demand,
                                 const SolveOptions& options,
                                 std::span<const ProbOverride> overrides) {
-  validate_overrides(overrides);
   ExecContext local;
-  ExecContext* ctx = options.context;
-  if (!ctx) {
-    if (options.deadline_ms > 0.0) local.set_deadline_ms(options.deadline_ms);
-    local.max_threads = options.max_threads;
-    ctx = &local;
+  ExecContext& ctx = context_for(options, local);
+  const PreparedQuery prepared = prepare(demand, options, overrides, ctx);
+  if (!prepared.bottleneck_path) {
+    return solve_fallback(demand, options, overrides, ctx);
   }
-
-  // A delta applied since the last solve leaves an advisory hint; attach
-  // it so a facade fallback keeps kAuto anchored on the delta-aware
-  // engine. Never overrides a hint the caller set themselves.
-  SolveOptions effective = options;
-  if (!effective.delta_hint && pending_hint_) {
-    effective.delta_hint = &*pending_hint_;
-  }
-
-  telemetry_.counter(telemetry_keys::kQueries) += 1;
-
-  SolveReport report;
-  PreparedQuery prepared;
-  {
-    TraceSpan span("query_prepare", "cache");
-    // Annotate the span with the cache traffic THIS query caused: the
-    // per-layer hit/miss counters are cheap to aggregate and only read
-    // when a trace is actually being recorded.
-    const std::uint64_t hits = span.active() ? cache_hits() : 0;
-    const std::uint64_t misses = span.active() ? cache_misses() : 0;
-    prepared = prepare_cached(demand, effective, *ctx);
-    if (span.active()) {
-      span.arg("cache_hits", cache_hits() - hits)
-          .arg("cache_misses", cache_misses() - misses)
-          .arg("bottleneck_path", prepared.bottleneck_path);
-    }
-  }
-  if (prepared.bottleneck_path) {
-    report = finish_prepared(prepared, effective, overrides, ctx);
-    if (report.result.status != SolveStatus::kExact && !report.bounds) {
-      report.bounds = bounds_with_overrides(demand, effective.bounds,
-                                            overrides);
-    }
-    ctx->telemetry.merge(report.result.telemetry);
-  } else {
-    telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
-    report = solve_fallback(demand, effective, overrides, *ctx);
-  }
+  SolveReport report = accumulate(prepared, options, overrides, &ctx);
+  finish(report, demand, options, overrides, ctx);
   return report;
 }
 

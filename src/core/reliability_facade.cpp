@@ -33,24 +33,9 @@ namespace {
 SolveReport solve_auto(const FlowNetwork& net, const FlowDemand& demand,
                        const SolveOptions& options, const ExecContext* ctx,
                        const EngineRegistry& registry) {
-  // The chain leads with the bottleneck decomposition. A small-delta hint
-  // (SolveOptions::delta_hint) pins the lead to a delta-aware engine: the
-  // serving layer holds warm artifacts for the parent structure, and only
-  // a delta-aware engine's arithmetic can reuse them. With the built-in
-  // registry both rules pick the same engine, so routing never changes an
-  // answer — it guarantees the warm path stays first even if a future
-  // registration reorders the chain.
-  const Engine* lead = &registry.require(Method::kBottleneck);
-  if (options.delta_hint && options.delta_hint->small()) {
-    for (const Engine* engine : registry.engines()) {
-      if (engine->delta_aware() && engine->applicable(net, demand)) {
-        lead = engine;
-        break;
-      }
-    }
-  }
   try {
-    SolveReport report = lead->solve(net, demand, options, ctx);
+    SolveReport report =
+        registry.require(Method::kBottleneck).solve(net, demand, options, ctx);
     // kMaskOverflow means every candidate partition needed more than
     // kMaxMaskBits links in one failure mask — a capability limit of the
     // enumerating decomposition, so the chain moves on to an engine that
@@ -154,9 +139,6 @@ SolveReport compute_reliability(const FlowNetwork& net,
 
   TraceSpan span("compute_reliability", "facade");
   span.arg("method", to_string(options.method));
-  if (options.delta_hint) {
-    span.arg("delta_hint", to_string(options.delta_hint->delta_class));
-  }
 
   SolveReport report = dispatch(net, demand, options, *ctx);
   span.arg("engine", report.engine);

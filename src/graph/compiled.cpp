@@ -84,60 +84,6 @@ std::shared_ptr<const CompiledNetwork> CompiledNetwork::from_parts(
   return compiled;
 }
 
-std::shared_ptr<const CompiledNetwork> CompiledNetwork::with_failure_prob(
-    EdgeId id, double p) const {
-  if (!valid_edge(id)) {
-    throw std::invalid_argument("with_failure_prob: bad edge id");
-  }
-  if (!(p >= 0.0) || !(p < 1.0)) {
-    throw std::invalid_argument(
-        "with_failure_prob: failure probability not in [0,1)");
-  }
-  auto overlay = std::shared_ptr<CompiledNetwork>(new CompiledNetwork());
-  overlay->structure_ = structure_;  // shared, same structure_id()
-  overlay->failure_prob_ = failure_prob_;
-  overlay->log_failure_ = log_failure_;
-  overlay->log_survival_ = log_survival_;
-  const auto i = static_cast<std::size_t>(id);
-  overlay->failure_prob_[i] = p;
-  overlay->log_failure_[i] =
-      p > 0.0 ? std::log(p) : -std::numeric_limits<double>::infinity();
-  overlay->log_survival_[i] = std::log1p(-p);
-  return overlay;
-}
-
-std::shared_ptr<const CompiledNetwork> CompiledNetwork::with_failure_probs(
-    std::span<const double> probs) const {
-  if (probs.size() != failure_prob_.size()) {
-    throw std::invalid_argument(
-        "with_failure_probs: probability column size mismatch");
-  }
-  auto overlay = std::shared_ptr<CompiledNetwork>(new CompiledNetwork());
-  overlay->structure_ = structure_;  // shared, same structure_id()
-  overlay->failure_prob_.assign(probs.begin(), probs.end());
-  overlay->log_failure_.reserve(probs.size());
-  overlay->log_survival_.reserve(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    const double p = probs[i];
-    if (!(p >= 0.0) || !(p < 1.0)) {
-      throw std::invalid_argument(
-          "with_failure_probs: failure probability not in [0,1)");
-    }
-    if (p == failure_prob_[i]) {
-      // Unchanged entry: copy the derived logs bit-for-bit rather than
-      // re-deriving them (same bits either way; cheaper, and keeps the
-      // overlay honest as a pure re-sync).
-      overlay->log_failure_.push_back(log_failure_[i]);
-      overlay->log_survival_.push_back(log_survival_[i]);
-    } else {
-      overlay->log_failure_.push_back(
-          p > 0.0 ? std::log(p) : -std::numeric_limits<double>::infinity());
-      overlay->log_survival_.push_back(std::log1p(-p));
-    }
-  }
-  return overlay;
-}
-
 std::shared_ptr<const CompiledNetwork> FlowNetwork::compile() const {
   return CompiledNetwork::compile(*this);
 }

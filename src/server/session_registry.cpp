@@ -1,9 +1,9 @@
 #include "streamrel/server/session_registry.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "streamrel/util/telemetry.hpp"
-#include "streamrel/util/trace.hpp"
 
 namespace streamrel {
 
@@ -103,62 +103,32 @@ StoreStatus TenantSession::checkpoint_locked(std::string* error) {
 SolveReport TenantSession::solve(const FlowDemand& demand,
                                  const SolveOptions& options,
                                  std::span<const ProbOverride> overrides) {
-  ExecContext* ctx = options.context;
-  // The service always provides the context; a bare local keeps the
-  // QuerySession contract for direct (test) callers.
   ExecContext local;
-  if (!ctx) {
-    if (options.deadline_ms > 0.0) local.set_deadline_ms(options.deadline_ms);
-    local.max_threads = options.max_threads;
-    ctx = &local;
-  }
-
+  ExecContext& ctx = QuerySession::context_for(options, local);
   QuerySession::PreparedQuery prepared;
-  SolveOptions effective = options;
-  // The pending hint must be COPIED out: the member can be rewritten by
-  // a concurrent apply_delta once the writer lock is released.
-  std::optional<DeltaSolveHint> hint_copy;
-
   {
     const WriteSection section(*this);
-    session_.validate_overrides(overrides);
-    if (!effective.delta_hint && session_.pending_hint_) {
-      hint_copy = *session_.pending_hint_;
-      effective.delta_hint = &*hint_copy;
-    }
-    session_.telemetry_.counter(telemetry_keys::kQueries) += 1;
-    {
-      TraceSpan span("query_prepare", "cache");
-      const std::uint64_t hits = span.active() ? session_.cache_hits() : 0;
-      const std::uint64_t misses = span.active() ? session_.cache_misses() : 0;
-      prepared = session_.prepare_cached(demand, effective, *ctx);
-      if (span.active()) {
-        span.arg("cache_hits", session_.cache_hits() - hits)
-            .arg("cache_misses", session_.cache_misses() - misses)
-            .arg("bottleneck_path", prepared.bottleneck_path);
-      }
-    }
+    prepared = session_.prepare(demand, options, overrides, ctx);
     if (!prepared.bottleneck_path) {
       // The fallback solves against net_ (override guard mutates it):
       // stay under the writer lock for the whole solve.
-      session_.telemetry_.counter(telemetry_keys::kFallbackSolves) += 1;
-      return session_.solve_fallback(demand, effective, overrides, *ctx);
+      return session_.solve_fallback(demand, options, overrides, ctx);
     }
   }
 
   SolveReport report;
   {
-    // The warm path only reads the cached artifacts and the partition
-    // entry — concurrent solves of the same tenant share this lock.
+    // The warm path reads only what the prepare pinned (artifacts and
+    // snapshot), so concurrent solves of the same tenant share this lock
+    // and a delta applied since cannot reach the answer.
     const ReadSection section(*this);
-    report = session_.finish_prepared(prepared, effective, overrides, ctx);
+    report = session_.accumulate(prepared, options, overrides, &ctx);
   }
-  if (report.result.status != SolveStatus::kExact && !report.bounds) {
-    const WriteSection section(*this);
-    report.bounds =
-        session_.bounds_with_overrides(demand, effective.bounds, overrides);
-  }
-  ctx->telemetry.merge(report.result.telemetry);
+  // Bounds for a degraded answer are computed with the overrides
+  // applied to net_: writer access for that case only.
+  std::optional<WriteSection> section;
+  if (!report.exact()) section.emplace(*this);
+  session_.finish(report, demand, options, overrides, ctx);
   return report;
 }
 

@@ -104,25 +104,6 @@ TEST(CompiledNetwork, CsrRoundTripMatchesBuilderAcrossSeededGraphs) {
   }
 }
 
-TEST(CompiledNetwork, WithFailureProbOverlaysWithoutCopyingStructure) {
-  const GeneratedNetwork g = seeded_graph(3);
-  const auto base = g.net.compile();
-  const auto overlay = base->with_failure_prob(0, 0.5);
-  EXPECT_EQ(overlay->structure_id(), base->structure_id());
-  EXPECT_EQ(&overlay->structure(), &base->structure());
-  EXPECT_EQ(overlay->failure_prob(0), 0.5);
-  EXPECT_EQ(overlay->log_survival(0), std::log1p(-0.5));
-  EXPECT_EQ(base->failure_prob(0), g.net.edge(0).failure_prob);
-  for (EdgeId id = 1; id < base->num_edges(); ++id) {
-    EXPECT_EQ(overlay->failure_prob(id), base->failure_prob(id));
-  }
-  // A fresh compile of the same builder is a DIFFERENT structure: identity
-  // is per snapshot lineage, never derived from contents.
-  EXPECT_NE(g.net.compile()->structure_id(), base->structure_id());
-  EXPECT_THROW((void)base->with_failure_prob(-1, 0.5), std::invalid_argument);
-  EXPECT_THROW((void)base->with_failure_prob(0, 1.0), std::invalid_argument);
-}
-
 TEST(NetworkView, TranslationMatchesSubgraphAcrossSeededGraphs) {
   for (int seed = 0; seed < kSeeds; ++seed) {
     const GeneratedNetwork g = seeded_graph(seed);

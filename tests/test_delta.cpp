@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -134,22 +135,6 @@ TEST(DeltaJournal, LinksSuccessorsToParents) {
   EXPECT_EQ(chain[1].structure_id, first.snapshot->structure_id());
 }
 
-TEST(DeltaSolveHint, SmallAndAccumulationOnly) {
-  DeltaSolveHint hint;
-  hint.delta_class = DeltaClass::kProbabilityOnly;
-  hint.touched_edges = {0, 1};
-  EXPECT_TRUE(hint.accumulation_only());
-  EXPECT_TRUE(hint.small());
-  hint.delta_class = DeltaClass::kCapacityOnly;
-  EXPECT_FALSE(hint.accumulation_only());
-  EXPECT_TRUE(hint.small());
-  hint.touched_edges.assign(9, 0);
-  EXPECT_FALSE(hint.small());
-  hint.delta_class = DeltaClass::kTopology;
-  hint.touched_edges.clear();
-  EXPECT_FALSE(hint.small());
-}
-
 // ------------------------------------------------------ sharing rules
 
 TEST(CompiledDelta, ProbabilityDeltaSharesTheWholeStructure) {
@@ -165,8 +150,21 @@ TEST(CompiledDelta, ProbabilityDeltaSharesTheWholeStructure) {
   EXPECT_EQ(out.snapshot->structure_id(), root->structure_id());
   EXPECT_EQ(&out.snapshot->structure(), &root->structure());
   EXPECT_EQ(out.snapshot->failure_prob(1), 0.33);
+  // Derived from the stored value at run time, like compile() does.
+  const double p = out.snapshot->failure_prob(1);
+  EXPECT_EQ(out.snapshot->log_survival(1), std::log1p(-p));
+  EXPECT_EQ(out.snapshot->failure_prob(0), root->failure_prob(0));
   EXPECT_EQ(root->failure_prob(1), 0.2);  // the parent is immutable
   EXPECT_TRUE(out.touched_edges.empty());
+  // A fresh compile of the same builder is a DIFFERENT structure: identity
+  // is per snapshot lineage, never derived from contents.
+  EXPECT_NE(net.compile()->structure_id(), root->structure_id());
+  EXPECT_THROW(
+      (void)root->apply_delta(NetworkDelta().set_failure_prob(-1, 0.5)),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)root->apply_delta(NetworkDelta().set_failure_prob(0, 1.0)),
+      std::invalid_argument);
 }
 
 TEST(CompiledDelta, CapacityDeltaSharesTopologyAndReportsTouched) {

@@ -4,13 +4,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "streamrel/graph/generators.hpp"
+#include "streamrel/util/json.hpp"
 #include "streamrel/util/prng.hpp"
+#include "streamrel/util/trace.hpp"
 
 namespace streamrel {
 namespace {
@@ -87,7 +90,7 @@ TEST(QuerySession, ProbabilityEditKeepsCaches) {
   session.solve(demand);
   const std::uint64_t misses_after_cold = session.cache_misses();
 
-  session.set_failure_prob(0, 0.42);
+  session.apply_delta(NetworkDelta().set_failure_prob(0, 0.42));
   const SolveReport served = session.solve(demand);
   EXPECT_EQ(session.cache_misses(), misses_after_cold);  // no rebuild
   EXPECT_GT(session.cache_hits(), 0u);
@@ -118,7 +121,8 @@ TEST(QuerySession, CapacityEditInvalidatesAndRecomputes) {
       break;
     }
   }
-  session.set_capacity(edge, session.network().edge(edge).capacity + 1);
+  session.apply_delta(NetworkDelta().set_capacity(
+      edge, session.network().edge(edge).capacity + 1));
   EXPECT_EQ(session.cache_invalidations(), 1u);
 
   const SolveReport served = session.solve(demand);
@@ -161,19 +165,40 @@ TEST(QuerySession, InvalidOverridesThrow) {
   EXPECT_THROW(session.solve(demand, {}, bad_prob), std::invalid_argument);
 }
 
-TEST(QuerySession, DisabledCacheStillAnswersCorrectly) {
+/// The args of the one "query_prepare" span `solve` records on this
+/// thread.
+JsonValue query_prepare_args(const std::function<void()>& solve) {
+  const TraceCapture capture;
+  solve();
+  std::optional<JsonValue> args;
+  for (const TraceEvent& e : capture.events()) {
+    if (e.name != "query_prepare") continue;
+    EXPECT_FALSE(args.has_value()) << "more than one query_prepare span";
+    args = parse_json("{" + e.args + "}");
+  }
+  EXPECT_TRUE(args.has_value()) << "no query_prepare span";
+  return args.value_or(parse_json("{}"));
+}
+
+// The span's args count the cache traffic of their own query: a cold
+// solve misses and takes the bottleneck path, a warm one only hits.
+TEST(QuerySession, QueryPrepareSpanCountsThisQuerysCacheTraffic) {
   const GeneratedNetwork g = test_instance();
   const FlowDemand demand{g.source, g.sink, 2};
+  QuerySession session(g.net);
 
-  QueryCacheOptions cache;
-  cache.enabled = false;
-  QuerySession session(g.net, cache);
-  const SolveReport a = session.solve(demand);
-  const SolveReport b = session.solve(demand);
-  EXPECT_EQ(session.cache_hits(), 0u);
-  EXPECT_EQ(a.result.reliability, b.result.reliability);
-  EXPECT_EQ(a.result.reliability,
-            compute_reliability(g.net, demand).result.reliability);
+  const JsonValue cold =
+      query_prepare_args([&] { (void)session.solve(demand); });
+  ASSERT_NE(cold.find("cache_misses"), nullptr);
+  EXPECT_GT(cold.find("cache_misses")->as_number(), 0.0);
+  EXPECT_TRUE(cold.find("bottleneck_path")->as_bool());
+
+  const JsonValue warm =
+      query_prepare_args([&] { (void)session.solve(demand); });
+  ASSERT_NE(warm.find("cache_hits"), nullptr);
+  EXPECT_GT(warm.find("cache_hits")->as_number(), 0.0);
+  EXPECT_EQ(warm.find("cache_misses")->as_number(), 0.0);
+  EXPECT_TRUE(warm.find("bottleneck_path")->as_bool());
 }
 
 TEST(QuerySession, TelemetryCountsQueries) {
@@ -325,7 +350,8 @@ TEST(QuerySession, PatchedRebuildCountsOnlyThePatchedSide) {
   const BottleneckPartition& partition = cold.partition->partition;
   FlowNetwork edited = g.net;
   edited.set_capacity(inside_s, edited.edge(inside_s).capacity + 1);
-  session.set_capacity(inside_s, edited.edge(inside_s).capacity);
+  session.apply_delta(
+      NetworkDelta().set_capacity(inside_s, edited.edge(inside_s).capacity));
   const SolveReport served = session.solve(demand);
   ASSERT_EQ(served.result.status, SolveStatus::kExact);
 
@@ -359,7 +385,8 @@ TEST(QuerySession, SuccessiveSideDeltasComposeIntoOnePatch) {
 
   QuerySession session(g.net);
   session.solve(demand);
-  session.set_capacity(inside_s[0], g.net.edge(inside_s[0]).capacity + 1);
+  session.apply_delta(NetworkDelta().set_capacity(
+      inside_s[0], g.net.edge(inside_s[0]).capacity + 1));
   // The entry is gone already; the second delta must keep the priors.
   NetworkDelta second;
   second.set_capacity(inside_s[1],
@@ -402,8 +429,10 @@ TEST(QuerySession, CrossingEditAfterSideEditDropsThePriors) {
 
   QuerySession session(g.net);
   session.solve(demand);
-  session.set_capacity(inside_s, g.net.edge(inside_s).capacity + 1);
-  session.set_capacity(crossing, g.net.edge(crossing).capacity + 1);
+  session.apply_delta(NetworkDelta().set_capacity(
+      inside_s, g.net.edge(inside_s).capacity + 1));
+  session.apply_delta(NetworkDelta().set_capacity(
+      crossing, g.net.edge(crossing).capacity + 1));
 
   // The assignment set changed: both sides are swept from scratch.
   expect_bitwise_cold(session, demand);
@@ -418,7 +447,8 @@ TEST(QuerySession, StoppedPatchedBuildStaysExact) {
 
   QuerySession session(g.net);
   session.solve(demand);
-  session.set_capacity(inside_s, g.net.edge(inside_s).capacity + 1);
+  session.apply_delta(NetworkDelta().set_capacity(
+      inside_s, g.net.edge(inside_s).capacity + 1));
 
   // A stop observed inside the rebuild: no answer, nothing cached.
   ExecContext stopped;
@@ -569,50 +599,6 @@ TEST(QuerySession, InvalidDeltaIsAtomic) {
             g.net.edge(0).failure_prob);
   session.solve(demand);
   EXPECT_EQ(session.cache_misses(), misses);
-}
-
-TEST(QuerySession, AliasProbabilityEditFastPathKeepsCaches) {
-  const GeneratedNetwork g = test_instance();
-  const FlowDemand demand{g.source, g.sink, 2};
-
-  QuerySession session(g.net);
-  const SolveReport before = session.solve(demand);
-  (void)before;
-  const std::uint64_t misses = session.cache_misses();
-
-  // The documented alias flow: edit probabilities directly, then declare
-  // the edit class. Structural artifacts must survive.
-  session.mutable_network().set_failure_prob(0, 0.37);
-  session.invalidate(DeltaClass::kProbabilityOnly);
-  EXPECT_EQ(session.cache_invalidations(), 0u);
-  EXPECT_GE(session.cache_survived(), 1u);
-
-  const SolveReport served = session.solve(demand);
-  EXPECT_EQ(session.cache_misses(), misses);  // fast path: no rebuild
-
-  FlowNetwork edited = g.net;
-  edited.set_failure_prob(0, 0.37);
-  EXPECT_EQ(served.result.reliability,
-            compute_reliability(edited, demand).result.reliability);
-}
-
-TEST(QuerySession, AliasStructuralEditFlushesEverything) {
-  const GeneratedNetwork g = test_instance();
-  const FlowDemand demand{g.source, g.sink, 2};
-
-  QuerySession session(g.net);
-  session.solve(demand);
-
-  session.mutable_network().set_capacity(0, g.net.edge(0).capacity + 1);
-  session.invalidate(DeltaClass::kCapacityOnly);  // touched set unknown
-  EXPECT_EQ(session.cache_invalidations(), 1u);
-  EXPECT_GE(session.cache_invalidations_full(), 1u);
-
-  const SolveReport served = session.solve(demand);
-  FlowNetwork edited = g.net;
-  edited.set_capacity(0, edited.edge(0).capacity + 1);
-  EXPECT_EQ(served.result.reliability,
-            compute_reliability(edited, demand).result.reliability);
 }
 
 TEST(QuerySession, TopologyDeltaTranslatesAndRecovers) {

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -28,6 +30,7 @@
 #include "streamrel/graph/io.hpp"
 #include "streamrel/persist/store.hpp"
 #include "streamrel/server/service.hpp"
+#include "streamrel/server/session_registry.hpp"
 #include "streamrel/server/transport.hpp"
 #include "streamrel/util/json.hpp"
 #include "streamrel/util/prng.hpp"
@@ -425,6 +428,81 @@ TEST(Server, ConcurrentDeltasAndReadsOnOneTenant) {
   writer.join();
   for (std::thread& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Topology deltas renumber links. The service applies a delta inline on a
+// connection thread while solves run on workers, so a tenant's warm
+// accumulate may run after a delta that landed between its prepare and
+// its accumulate: the answer must still be the one of a single network
+// state, read through the snapshot the prepare pinned.
+TEST(Server, ConcurrentTopologyDeltasAndReadsOnOneTenant) {
+  const GeneratedNetwork g = test_instance();
+  FlowNetwork net = g.net;
+  // Distinct probabilities: a link read under another link's id changes
+  // the answer.
+  for (EdgeId e = 0; e < net.num_edges(); ++e) {
+    net.set_failure_prob(e, 0.02 + 0.01 * static_cast<double>(e));
+  }
+  EdgeId link = 0;  // the lowest-id link inside a side
+  while (g.side_s[static_cast<std::size_t>(net.edge(link).u)] !=
+         g.side_s[static_cast<std::size_t>(net.edge(link).v)]) {
+    ++link;
+  }
+  const Edge removed = net.edge(link);
+  const auto re_add = [&] {
+    return NetworkDelta().add_edge(removed.u, removed.v, removed.capacity,
+                                   removed.failure_prob, removed.kind);
+  };
+  const FlowDemand demand{g.source, g.sink, 2};
+
+  // The three reachable states: the original, the link removed, and the
+  // link re-added as the last id (removing it again returns to the second).
+  const FlowNetwork without =
+      apply_delta(net, NetworkDelta().remove_edge(link)).net;
+  const FlowNetwork re_added = apply_delta(without, re_add()).net;
+  std::vector<double> cold;
+  for (const FlowNetwork& state : {net, without, re_added}) {
+    cold.push_back(compute_reliability(state, demand).result.reliability);
+  }
+  ASSERT_NE(std::memcmp(&cold[0], &cold[1], sizeof(double)), 0);
+
+  TenantSession tenant(net, demand, QueryCacheOptions{}, false);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> solves{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    EdgeId id = link;
+    for (int i = 0; i < 40; ++i) {
+      // At least one answer between cycles, so deltas land among solves.
+      const int seen = solves.load();
+      while (solves.load() == seen) std::this_thread::yield();
+      tenant.apply_delta(NetworkDelta().remove_edge(id));
+      tenant.apply_delta(re_add());
+      id = net.num_edges() - 1;
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      SolveOptions options;
+      options.max_threads = 1;
+      while (!stop.load()) {
+        const double got =
+            tenant.solve(demand, options, {}).result.reliability;
+        const bool known =
+            std::any_of(cold.begin(), cold.end(), [&](double want) {
+              return std::memcmp(&got, &want, sizeof(double)) == 0;
+            });
+        if (!known) mismatches.fetch_add(1);
+        solves.fetch_add(1);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& th : readers) th.join();
+  EXPECT_GT(solves.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0) << "of " << solves.load() << " solves";
 }
 
 TEST(Server, ReplayVerbMatchesTheStandaloneRenderers) {

@@ -23,7 +23,9 @@
 #include "streamrel/core/query_session.hpp"
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/server/session_registry.hpp"
+#include "streamrel/util/json.hpp"
 #include "streamrel/util/prng.hpp"
+#include "streamrel/util/trace.hpp"
 
 namespace streamrel {
 namespace {
@@ -244,6 +246,41 @@ TEST(SessionRegistry, StatsFoldsPersistTotalsFromTheSameSnapshot) {
   }
   EXPECT_EQ(checkpoints, 2u);
   EXPECT_EQ(stats.persist.checkpoints, checkpoints);
+}
+
+/// The args of the one "query_prepare" span a tenant solve records on
+/// this thread.
+JsonValue query_prepare_args(TenantSession& session, const FlowDemand& demand) {
+  const TraceCapture capture;
+  (void)session.solve(demand, {}, {});
+  std::optional<JsonValue> args;
+  for (const TraceEvent& e : capture.events()) {
+    if (e.name != "query_prepare") continue;
+    EXPECT_FALSE(args.has_value()) << "more than one query_prepare span";
+    args = parse_json("{" + e.args + "}");
+  }
+  EXPECT_TRUE(args.has_value()) << "no query_prepare span";
+  return args.value_or(parse_json("{}"));
+}
+
+// A tenant solve runs QuerySession's traced prepare: the span counts the
+// cache traffic of its own solve (the args a trace's cache hit ratio is
+// folded from).
+TEST(TenantSession, QueryPrepareSpanCountsThisSolvesCacheTraffic) {
+  const GeneratedNetwork g = instance(11);
+  const FlowDemand demand{g.source, g.sink, 2};
+  TenantSession session(g.net, demand, QueryCacheOptions{}, false);
+
+  const JsonValue cold = query_prepare_args(session, demand);
+  ASSERT_NE(cold.find("cache_misses"), nullptr);
+  EXPECT_GT(cold.find("cache_misses")->as_number(), 0.0);
+  EXPECT_TRUE(cold.find("bottleneck_path")->as_bool());
+
+  const JsonValue warm = query_prepare_args(session, demand);
+  ASSERT_NE(warm.find("cache_hits"), nullptr);
+  EXPECT_GT(warm.find("cache_hits")->as_number(), 0.0);
+  EXPECT_EQ(warm.find("cache_misses")->as_number(), 0.0);
+  EXPECT_TRUE(warm.find("bottleneck_path")->as_bool());
 }
 
 }  // namespace
